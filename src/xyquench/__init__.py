@@ -19,8 +19,6 @@ from .dynamics import (
     thermal_mode_state,
 )
 from .correlations import (
-    ContractionTable,
-    SkewMatrix,
     contraction_aa,
     contraction_ba,
     contraction_bb,
@@ -53,13 +51,11 @@ __all__ = [
     "closed_form_mode_state",
     "evolve_mode_numeric",
     "asymptotic_mode",
-    "ContractionTable",
     "contraction_table",
     "contraction_ba",
     "contraction_aa",
     "contraction_bb",
     "magnetization_z",
-    "SkewMatrix",
     "pfaffian",
     "correlator_xx",
     "correlator_yy",

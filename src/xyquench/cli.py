@@ -95,12 +95,21 @@ class RunSpec:
 
 
 def pair_observables(config: ChainConfig, d: int, t: float):
-    """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at time t (inf allowed)."""
-    mz = magnetization_z(config, t)
-    sx = correlator_xx(config, d, t)
-    sy = correlator_yy(config, d, t)
-    sz = correlator_zz(config, d, t)
-    c = concurrence_x(two_site_state(mz, sx, sy, sz))
+    """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at time t (inf allowed).
+
+    A NumericalError keeps its type and gains the point it happened at.
+    """
+    try:
+        mz = magnetization_z(config, t)
+        sx = correlator_xx(config, d, t)
+        sy = correlator_yy(config, d, t)
+        sz = correlator_zz(config, d, t)
+        c = concurrence_x(two_site_state(mz, sx, sy, sz))
+    except NumericalError as exc:
+        raise type(exc)(
+            f"{exc} (at N = {config.n_sites}, kT = {config.kt}, a = {config.field_before}, "
+            f"b = {config.field_after}, d = {d}, t = {t})"
+        ) from exc
     return mz, sx, sy, sz, c, entanglement_of_formation(c)
 
 
@@ -232,15 +241,15 @@ def _meta_items(spec: RunSpec, columns):
     return items
 
 
-def _cell(value) -> str:
+def _cell(value):
+    """A row value as written: labels and infinity as text, ints and floats as
+    numbers (CSV writes their str, which for a float is its round-trip repr)."""
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return int(value)
     value = float(value)
-    if math.isinf(value):
-        return "inf"
-    return repr(value)
+    return "inf" if math.isinf(value) else value
 
 
 def _write_csv(fh, spec, columns, rows):
@@ -250,20 +259,12 @@ def _write_csv(fh, spec, columns, rows):
         fh.write(f"# {key} = {value}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
-        fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write(",".join(str(_cell(v)) for v in row) + "\n")
 
 
 def _write_json(fh, spec, columns, rows):
-    def cell(v):
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        if isinstance(v, str):
-            return v
-        v = float(v)
-        return "inf" if math.isinf(v) else v
-
     meta = {k: v for k, v in _meta_items(spec, columns)}
-    json.dump({"meta": meta, "rows": [[cell(v) for v in row] for row in rows]}, fh, indent=1)
+    json.dump({"meta": meta, "rows": [[_cell(v) for v in row] for row in rows]}, fh, indent=1)
     fh.write("\n")
 
 
@@ -278,33 +279,6 @@ def _write_output(spec: RunSpec, columns, rows):
 
 # --- argument handling -------------------------------------------------------
 
-_CONVERTERS = {
-    "n_sites": int,
-    "gamma": float,
-    "kt": float,
-    "field_a": float,
-    "field_b": float,
-    "offset": int,
-    "t_start": float,
-    "t_end": float,
-    "t_steps": int,
-    "grid_min": float,
-    "grid_max": float,
-    "grid_steps": int,
-    "fmt": str,
-    "out": str,
-    "workers": int,
-    "time_average": float,
-    "n_list": lambda s: tuple(int(x) for x in str(s).split(",") if x.strip()),
-}
-
-_PER_COMMAND_DEFAULTS = {
-    "timeseries": {},
-    "surface": {},
-    "equilibrium": {},
-    "oracle-compare": {"t_end": 5.0, "t_steps": 6},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits with code 1 on bad input instead of 2."""
@@ -315,7 +289,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _int_list(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in COMMANDS:
@@ -338,13 +317,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--time-average", type=float)
         p.add_argument("--config")
         if name == "oracle-compare":
-            p.add_argument("--n-list", type=str)
-    return parser
+            p.add_argument("--n-list", type=_int_list)
+            p.set_defaults(t_end=5.0, t_steps=6)
+    return parser, sub.choices
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys) -> dict:
     """Flat ``key = value`` file; keys match the long flag names sans dashes."""
-    aliases = {key.replace("_", ""): key for key in _CONVERTERS}
+    aliases = {key.replace("_", ""): key for key in keys}
     aliases["format"] = "fmt"
     values = {}
     with open(path) as fh:
@@ -363,21 +343,20 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_spec(argv=None) -> RunSpec:
-    args = _build_parser().parse_args(argv)
-    file_values = _load_config_file(args.config) if args.config else {}
-    merged = {"command": args.command, "config_path": args.config}
-    defaults = _PER_COMMAND_DEFAULTS[args.command]
-    for f in fields(RunSpec):
-        if f.name in ("command", "config_path"):
-            continue
-        cli_value = getattr(args, f.name, None)
-        if cli_value is not None:
-            merged[f.name] = _CONVERTERS[f.name](cli_value) if f.name == "n_list" else cli_value
-        elif f.name in file_values:
-            merged[f.name] = _CONVERTERS[f.name](file_values[f.name])
-        elif f.name in defaults:
-            merged[f.name] = defaults[f.name]
-    spec = RunSpec(**merged)
+    """Flags beat the config file, which beats the defaults.
+
+    The file's values become the subcommand's defaults, so argparse converts
+    them with the flags' own types.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        keys = set(vars(args)) - {"command", "config"}
+        commands[args.command].set_defaults(**_load_config_file(args.config, keys))
+        args = parser.parse_args(argv)
+    values = vars(args)
+    values["config_path"] = values.pop("config")
+    spec = RunSpec(**{key: value for key, value in values.items() if value is not None})
     spec.validate()
     return spec
 

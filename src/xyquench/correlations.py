@@ -2,10 +2,13 @@
 
 With A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, every equal-time spin
 observable reduces to the three elementary contractions <B_l A_m>, <A_l A_m>
-and <B_l B_m>, evaluated as sums over the N/2 momentum modes.  Spin-spin
-correlators then follow from the string construction: each one is 1/4 times
-the Pfaffian of a skew-symmetric matrix filled with those contractions
-(Wick's theorem for the quadratic fermion problem).
+and <B_l B_m>.  They depend only on the offset m - l, through three sums over
+the N/2 momentum modes: the cos- and sin-weighted halves C and S of <BA> and
+the imaginary part I shared by <AA> and <BB>.  contraction_table arranges them
+into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
+and each spin-spin correlator is 1/4 times the Pfaffian of the rows and
+columns of Gamma that its operator string picks out (Wick's theorem for the
+quadratic fermion problem).
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -16,7 +19,6 @@ initial value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,7 +29,7 @@ from .errors import NumericalError
 from .lattice import ChainConfig, grid_arrays
 
 # Correlators are real; anything above this imaginary residue means the
-# contraction table is inconsistent and the result cannot be trusted.
+# contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
 
 
@@ -76,26 +78,21 @@ def _mode_data(config: ChainConfig, t: float) -> _ModeData:
     return _ModeData(phi, delta, x_a, x_b, weight, w, v)
 
 
-def _ba_parts(config: ChainConfig, d: int, t: float) -> tuple[float, float]:
-    """cos- and sin-weighted halves of <B_l A_{l+d}> (the sin half is odd in d)."""
+def _offset_sums(config: ChainConfig, t: float, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C, S and I at each offset d, from one (modes x offsets) cos/sin table.
+
+    <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
+    are odd in d, C is even.
+    """
     md = _mode_data(config, t)
     a, b = config.field_before, config.field_after
-    cos_part = np.sum(
-        md.weight * np.cos(d * md.phi) * (md.delta**2 * (b - a) * md.w + 2.0 * md.x_a)
-    )
-    sin_part = np.sum(
-        md.weight * md.delta * np.sin(d * md.phi) * (1.0 + 2.0 * (a - b) * md.x_b * md.w)
-    )
+    angle = np.multiply.outer(md.phi, np.asarray(offsets, dtype=float))
+    cos, sin = np.cos(angle), np.sin(angle)
     n = config.n_sites
-    return float(cos_part) / n, float(sin_part) / n
-
-
-def _same_kind_imag(config: ChainConfig, d: int, t: float) -> float:
-    """Shared imaginary part of <A_l A_{l+d}> and <B_l B_{l+d}>."""
-    md = _mode_data(config, t)
-    a, b = config.field_before, config.field_after
-    total = np.sum(md.delta * (a - b) * np.sin(d * md.phi) * md.v * md.weight)
-    return float(total) / config.n_sites
+    c = (md.weight * (md.delta**2 * (b - a) * md.w + 2.0 * md.x_a)) @ cos / n
+    s = (md.weight * md.delta * (1.0 + 2.0 * (a - b) * md.x_b * md.w)) @ sin / n
+    im = (md.weight * md.delta * (a - b) * md.v) @ sin / n
+    return c, s, im
 
 
 def _check_offset(config: ChainConfig, d: int):
@@ -109,8 +106,8 @@ def contraction_ba(config: ChainConfig, d: int, t: float) -> float:
     Negative d is allowed; only the sin-weighted half changes sign.
     """
     _check_offset(config, d)
-    cos_part, sin_part = _ba_parts(config, d, t)
-    return cos_part + sin_part
+    c, s, _ = _offset_sums(config, t, (d,))
+    return float(c[0] + s[0])
 
 
 def contraction_aa(config: ChainConfig, d: int, t: float) -> complex:
@@ -122,115 +119,54 @@ def contraction_aa(config: ChainConfig, d: int, t: float) -> complex:
     ((-1)^d - 1)/N offset that breaks the anticommutator {A_l, A_m} = 2 delta_lm.
     """
     _check_offset(config, d)
-    re = 1.0 if d == 0 else 0.0
-    return complex(re, _same_kind_imag(config, d, t))
+    return complex(1.0 if d == 0 else 0.0, _offset_sums(config, t, (d,))[2][0])
 
 
 def contraction_bb(config: ChainConfig, d: int, t: float) -> complex:
     """<B_l B_{l+d}>: -delta_{d0} plus the same imaginary part as contraction_aa."""
     _check_offset(config, d)
-    re = -1.0 if d == 0 else 0.0
-    return complex(re, _same_kind_imag(config, d, t))
+    return complex(-1.0 if d == 0 else 0.0, _offset_sums(config, t, (d,))[2][0])
 
 
 def magnetization_z(config: ChainConfig, t: float) -> float:
-    """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z>."""
-    md = _mode_data(config, t)
-    a, b = config.field_before, config.field_after
-    total = np.sum(md.weight * (2.0 * md.delta**2 * (b - a) * md.w + 4.0 * md.x_a))
-    return float(total) / (4.0 * config.n_sites)
-
-
-@dataclass(frozen=True)
-class ContractionTable:
-    """All contractions for offsets 0..d_max+1 at one (config, t).
-
-    ba[d] holds <B_l A_{l+d}> for d >= 0; ba_at(d) also serves negative
-    offsets through the sign flip of the sin-weighted half.
-    """
-
-    d_max: int
-    ba: tuple
-    ba_reversed: tuple
-    aa: tuple
-    bb: tuple
-
-    def ba_at(self, d: int) -> float:
-        return self.ba[d] if d >= 0 else self.ba_reversed[-d]
-
-    def aa_at(self, d: int) -> complex:
-        return self.aa[d]
-
-    def bb_at(self, d: int) -> complex:
-        return self.bb[d]
+    """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2."""
+    return 0.5 * float(_offset_sums(config, t, (0,))[0][0])
 
 
 @lru_cache(maxsize=32)
-def contraction_table(config: ChainConfig, t: float, d_max: int) -> ContractionTable:
-    """Build (and cache) the contraction lookup used by the Pfaffian assembly."""
-    ba, rev, aa, bb = [], [], [], []
-    for d in range(d_max + 2):
-        cos_part, sin_part = _ba_parts(config, d, t)
-        ba.append(cos_part + sin_part)
-        rev.append(cos_part - sin_part)
-        im = _same_kind_imag(config, d, t)
-        re = 1.0 if d == 0 else 0.0
-        aa.append(complex(re, im))
-        bb.append(complex(-re, im))
-    return ContractionTable(
-        d_max=d_max, ba=tuple(ba), ba_reversed=tuple(rev), aa=tuple(aa), bb=tuple(bb)
-    )
+def contraction_table(config: ChainConfig, t: float, d_max: int) -> np.ndarray:
+    """Skew contraction matrix Gamma over (A_0, B_0, ..., A_{d_max}, B_{d_max}).
+
+    Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
+    the diagonal is zero.  The array is cached and read-only.
+    """
+    site = np.arange(d_max + 1)
+    c, s, im = _offset_sums(config, t, site)
+    offset = site[None, :] - site[:, None]
+    k, sign = np.abs(offset), np.sign(offset)
+    gamma = np.empty((d_max + 1, 2, d_max + 1, 2), dtype=complex)
+    gamma[:, 0, :, 0] = gamma[:, 1, :, 1] = 1j * sign * im[k]  # <A_s A_s'>, <B_s B_s'>
+    gamma[:, 0, :, 1] = sign * s[k] - c[k]  # <A_s B_s'>
+    gamma[:, 1, :, 0] = sign * s[k] + c[k]  # <B_s A_s'>
+    gamma = gamma.reshape(2 * d_max + 2, 2 * d_max + 2)
+    gamma.flags.writeable = False
+    return gamma
 
 
-class SkewMatrix:
-    """Even-dimensional skew-symmetric matrix, antisymmetric by construction."""
+def pfaffian(m) -> complex:
+    """Pfaffian of a skew-symmetric matrix; empty matrices have Pfaffian 1.
 
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] % 2:
-            raise ValueError(f"skew matrices of odd dimension {mat.shape[0]} have no Pfaffian")
-        self.mat = mat
-
-    @classmethod
-    def from_upper(cls, dim: int, entry) -> "SkewMatrix":
-        """Fill from an upper-triangle callback entry(i, j), i < j."""
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                val = entry(i, j)
-                mat[i, j] = val
-                mat[j, i] = -val
-        return cls(mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def _pf_expand(a: np.ndarray) -> complex:
-    """First-row expansion; exponential in the dimension, fine up to 8."""
-
-    def rec(active: tuple) -> complex:
-        if not active:
-            return 1.0 + 0.0j
-        first, rest = active[0], active[1:]
-        total = 0.0 + 0.0j
-        sign = 1.0
-        for k, j in enumerate(rest):
-            total += sign * a[first, j] * rec(rest[:k] + rest[k + 1 :])
-            sign = -sign
-        return total
-
-    return rec(tuple(range(a.shape[0])))
-
-
-def _pf_eliminate(a: np.ndarray) -> complex:
-    """Skew-symmetric Gaussian elimination with partial pivoting, O(n^3)."""
+    Skew Gaussian elimination with partial pivoting, O(n^3), on a copy of m.
+    """
+    a = np.array(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
+    if n % 2:
+        raise ValueError(f"skew matrices of odd dimension {n} have no Pfaffian")
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    if scale and np.max(np.abs(a + a.T)) > 1e-12 * max(scale, 1.0):
+        raise ValueError("matrix is not antisymmetric")
     val = 1.0 + 0.0j
     for k in range(0, n - 1, 2):
         pivot = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
@@ -248,46 +184,8 @@ def _pf_eliminate(a: np.ndarray) -> complex:
     return val
 
 
-def pfaffian(m) -> complex:
-    """Pfaffian of a skew-symmetric matrix (SkewMatrix or array-like).
-
-    Empty matrices have Pfaffian 1.  Dimensions up to 8 use the combinatorial
-    expansion; larger ones use elimination with partial pivoting.
-    """
-    if isinstance(m, SkewMatrix):
-        a = m.mat
-    else:
-        a = np.asarray(m, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] % 2:
-            raise ValueError(f"skew matrices of odd dimension {a.shape[0]} have no Pfaffian")
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        if scale and np.max(np.abs(a + a.T)) > 1e-12 * max(scale, 1.0):
-            raise ValueError("matrix is not antisymmetric")
-    if a.shape[0] == 0:
-        return 1.0 + 0.0j
-    if a.shape[0] <= 8:
-        return _pf_expand(a)
-    return _pf_eliminate(a.copy())
-
-
-def _string_entry(table: ContractionTable, op_i, op_j) -> complex:
-    kind_i, site_i = op_i
-    kind_j, site_j = op_j
-    if kind_i == "b" and kind_j == "a":
-        return table.ba_at(site_j - site_i)
-    if kind_i == "a" and kind_j == "b":
-        # <A_i B_j> = -<B_j A_i> by anticommutation (distinct operators).
-        return -table.ba_at(site_i - site_j)
-    if kind_i == "a":
-        return table.aa_at(site_j - site_i)
-    return table.bb_at(site_j - site_i)
-
-
-def _quarter_pfaffian(table: ContractionTable, ops: list, prefactor: float) -> float:
-    skew = SkewMatrix.from_upper(len(ops), lambda i, j: _string_entry(table, ops[i], ops[j]))
-    val = prefactor * pfaffian(skew) / 4.0
+def _quarter_pfaffian(gamma: np.ndarray, ops: list, prefactor: float) -> float:
+    val = prefactor * pfaffian(gamma[np.ix_(ops, ops)]) / 4.0
     if abs(val.imag) > IMAG_TOL:
         raise NumericalError(f"correlator imaginary residue {val.imag:.3e} exceeds {IMAG_TOL}")
     return float(val.real)
@@ -301,30 +199,19 @@ def _check_distance(config: ChainConfig, d: int):
 
 
 def correlator_xx(config: ChainConfig, d: int, t: float) -> float:
-    """S^x_{l,l+d}(t) = <S_l^x S_{l+d}^x> from the string Pfaffian."""
+    """S^x_{l,l+d}(t) = <S_l^x S_{l+d}^x>, from the string B_0 A_1 B_1 ... A_{d-1} B_{d-1} A_d."""
     _check_distance(config, d)
-    table = contraction_table(config, t, d)
-    ops = [("b", 0)]
-    for k in range(1, d):
-        ops += [("a", k), ("b", k)]
-    ops.append(("a", d))
-    return _quarter_pfaffian(table, ops, 1.0)
+    return _quarter_pfaffian(contraction_table(config, t, d), list(range(1, 2 * d + 1)), 1.0)
 
 
 def correlator_yy(config: ChainConfig, d: int, t: float) -> float:
-    """S^y_{l,l+d}(t); same string as S^x with A and B swapped and sign (-1)^d."""
+    """S^y_{l,l+d}(t); the S^x string with A and B swapped, and sign (-1)^d."""
     _check_distance(config, d)
-    table = contraction_table(config, t, d)
-    ops = [("a", 0)]
-    for k in range(1, d):
-        ops += [("b", k), ("a", k)]
-    ops.append(("b", d))
-    return _quarter_pfaffian(table, ops, float((-1) ** d))
+    ops = [i ^ 1 for i in range(1, 2 * d + 1)]
+    return _quarter_pfaffian(contraction_table(config, t, d), ops, float((-1) ** d))
 
 
 def correlator_zz(config: ChainConfig, d: int, t: float) -> float:
-    """S^z_{l,l+d}(t); a 4-operator Pfaffian, no string in between."""
+    """S^z_{l,l+d}(t); the 4-operator string A_0 B_0 A_d B_d, nothing in between."""
     _check_distance(config, d)
-    table = contraction_table(config, t, d)
-    ops = [("a", 0), ("b", 0), ("a", d), ("b", d)]
-    return _quarter_pfaffian(table, ops, 1.0)
+    return _quarter_pfaffian(contraction_table(config, t, d), [0, 1, 2 * d, 2 * d + 1], 1.0)

@@ -61,7 +61,6 @@ class ModeState:
 
     occ_block: np.ndarray
     single_occ: float
-    normalized: bool = True
 
     def trace(self) -> float:
         return float(np.trace(self.occ_block).real + 2.0 * self.single_occ)
@@ -77,13 +76,12 @@ class ModeState:
 class ModePropagator:
     """Single-mode propagator for evolution under the post-quench field.
 
-    The global phase exp(2*i*t*cos(phi)) is recorded in phase_angle but never
-    applied; it cancels in every expectation value.
+    Only the (vacuum, pair) block is kept.  The singly occupied states only
+    acquire the global phase exp(2*i*t*cos(phi)), which is dropped because it
+    cancels in every expectation value.
     """
 
     u_block: np.ndarray
-    u_single: complex
-    phase_angle: float
 
 
 def _gibbs_q(lam: float, kt: float) -> float:
@@ -135,14 +133,13 @@ def step_propagator(mode: Mode, b: float, t: float) -> ModePropagator:
     # propagator tends to the identity for a degenerate mode.
     ratio = t if lam < SERIES_EPS else math.sin(angle) / (2.0 * lam)
     u = math.cos(angle) * _I2 - 1j * ratio * _pair_generator(x, mode.delta)
-    return ModePropagator(u_block=u, u_single=1.0 + 0.0j, phase_angle=2.0 * t * math.cos(mode.phi))
+    return ModePropagator(u_block=u)
 
 
 def evolve_mode(state: ModeState, prop: ModePropagator) -> ModeState:
     """Conjugate a mode state by a propagator."""
     block = prop.u_block @ state.occ_block @ prop.u_block.conj().T
-    single = state.single_occ * (prop.u_single * prop.u_single.conjugate()).real
-    return ModeState(occ_block=block, single_occ=single)
+    return ModeState(occ_block=block, single_occ=state.single_occ)
 
 
 def closed_form_mode_state(mode: Mode, a: float, b: float, kt: float, t: float) -> ModeState:

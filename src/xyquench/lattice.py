@@ -6,12 +6,11 @@ to ``field_after`` at t = 0.  Fermionizing the chain decouples it into N/2
 four-dimensional momentum subspaces labelled p = 1..N/2 with angle
 phi_p = 2*pi*p/N.  Each mode carries
 
-    alpha_p(h)  = -2*cos(phi_p) - 2*h
     delta_p     =  2*gamma*sin(phi_p)
     Lambda_p(h) =  sqrt((cos(phi_p) + h)**2 + gamma**2 * sin(phi_p)**2)
 
 and everything downstream (thermal occupations, propagators, contractions)
-is built from these three quantities.
+is built from these two quantities and cos(phi_p) + h.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class Mode:
     p: int
     phi: float
     delta: float
-    gamma: float
-
-    def alpha_of(self, h: float) -> float:
-        return -2.0 * math.cos(self.phi) - 2.0 * h
 
     def lambda_of(self, h: float) -> float:
         # hypot on delta/2 rather than gamma*sin(phi) so that the exact
@@ -84,6 +79,5 @@ def mode_grid(config: ChainConfig) -> list[Mode]:
     """The N/2 momentum modes of the ring, in order of increasing phi."""
     phi, delta = grid_arrays(config)
     return [
-        Mode(p=i + 1, phi=float(phi[i]), delta=float(delta[i]), gamma=config.gamma)
-        for i in range(len(phi))
+        Mode(p=i + 1, phi=float(phi[i]), delta=float(delta[i])) for i in range(len(phi))
     ]

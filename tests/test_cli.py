@@ -104,7 +104,7 @@ def test_unknown_command_and_flag_exit_one(capsys):
 
 def test_cell_rendering():
     assert _cell("avg") == "avg"
-    assert _cell(3) == "3"
+    assert str(_cell(3)) == "3"
     assert _cell(math.inf) == "inf"
     assert float(_cell(0.1)) == 0.1
     assert float(_cell(1.0 / 3.0)) == 1.0 / 3.0
@@ -211,6 +211,17 @@ def test_positivity_violation_exits_two(capsys):
                  "--kt", "0", "--n-list", "6"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_numerical_failure_names_its_point(capsys):
+    # The README surface at kT = 0 has one non-physical state, at its (0, 0)
+    # corner; the paired-mode grid is its cause.
+    code = main(["surface", "--kt", "0", "--grid-min", "0", "--grid-max", "3",
+                 "--grid-steps", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "N = 2000, kT = 0.0, a = 0.0, b = 0.0, d = 1, t = inf" in err
 
 
 def test_flat_error_schedule_exits_three(capsys):

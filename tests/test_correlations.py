@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from xyquench.correlations import (
-    SkewMatrix,
     contraction_aa,
     contraction_ba,
     contraction_bb,
@@ -16,11 +15,10 @@ from xyquench.correlations import (
     correlator_zz,
     magnetization_z,
     pfaffian,
-    _pf_eliminate,
-    _pf_expand,
 )
 from xyquench import ed
-from xyquench.lattice import ChainConfig
+from xyquench.dynamics import asymptotic_mode, evolve_mode, step_propagator, thermal_mode_state
+from xyquench.lattice import ChainConfig, mode_grid
 
 
 def _random_skew(rng, dim, complex_entries=True):
@@ -63,14 +61,6 @@ def test_pfaffian_squared_is_determinant():
             assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-9)
 
 
-def test_pfaffian_expansion_matches_elimination():
-    rng = np.random.default_rng(12)
-    for dim in (4, 6, 8):
-        for _ in range(10):
-            a = _random_skew(rng, dim)
-            assert _pf_expand(a) == pytest.approx(_pf_eliminate(a.copy()), rel=1e-11)
-
-
 def test_pfaffian_empty_matrix_is_one():
     assert pfaffian(np.zeros((0, 0))) == 1.0 + 0.0j
 
@@ -79,7 +69,7 @@ def test_pfaffian_odd_dimension_raises():
     with pytest.raises(ValueError):
         pfaffian(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        SkewMatrix(np.zeros((5, 5)))
+        pfaffian(np.zeros((2, 3)))
 
 
 def test_pfaffian_rejects_non_antisymmetric():
@@ -100,16 +90,37 @@ def test_pfaffian_signed_permutation_covariance():
         assert lhs == pytest.approx(np.linalg.det(p) * pfaffian(a), rel=1e-10)
 
 
-def test_skew_matrix_from_upper():
-    sk = SkewMatrix.from_upper(4, lambda i, j: 10 * i + j + 1j)
-    assert sk.dim == 4
-    assert np.max(np.abs(sk.mat + sk.mat.T)) == 0
-    assert sk.mat[1, 3] == 13 + 1j and sk.mat[3, 1] == -(13 + 1j)
-    with pytest.raises(ValueError):
-        SkewMatrix(np.zeros((2, 3)))
-
-
 # ------------------------------------------------------------ contractions
+
+
+def test_contractions_are_sums_over_mode_states():
+    # Ties the production sums to the per-mode states of `dynamics`:
+    # <B_l A_{l+d}> = (1/N) sum_p [2(rho22 - rho11) cos(d phi) + 4 Im rho12 sin(d phi)]
+    # and Im <A_l A_{l+d}> = -(4/N) sum_p Re rho12 sin(d phi).
+    rng = np.random.default_rng(17)
+    configs = [_random_config(rng) for _ in range(30)]
+    configs += [ChainConfig(16, 1.0, 0.0, 1.0, 0.4), ChainConfig(12, 0.7, 0.0, 0.3, 1.0),
+                ChainConfig(10, 1.0, 0.8, 1.0, 1.0)]
+    for c in configs:
+        modes = mode_grid(c)
+        phi = np.array([m.phi for m in modes])
+        for t in (0.0, float(rng.uniform(0, 20)), math.inf):
+            if math.isinf(t):
+                states = [asymptotic_mode(m, c.field_before, c.field_after, c.kt) for m in modes]
+            else:
+                states = [
+                    evolve_mode(thermal_mode_state(m, c.field_before, c.kt),
+                                step_propagator(m, c.field_after, t))
+                    for m in modes
+                ]
+            rho = np.array([s.occ_block for s in states])
+            for d in range(-3, 4):
+                cos_d, sin_d = np.cos(d * phi), np.sin(d * phi)
+                ba = np.sum(2.0 * (rho[:, 1, 1] - rho[:, 0, 0]).real * cos_d
+                            + 4.0 * rho[:, 0, 1].imag * sin_d) / c.n_sites
+                aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
+                assert abs(contraction_ba(c, d, t) - ba) < 1e-13
+                assert abs(contraction_aa(c, d, t).imag - aa) < 1e-13
 
 
 def test_magnetization_is_half_ba_zero():
@@ -222,15 +233,20 @@ def test_ring_periodicity_of_xx_and_yy():
 
 
 def test_contraction_table_matches_direct_functions():
+    # Gamma is over (A_0, B_0, ..., A_3, B_3): A_s is row 2s and B_s row 2s + 1.
     c = ChainConfig(10, 1.1, 0.4, 0.9, 1.7)
     t = 4.2
-    table = contraction_table(c, t, 3)
-    for d in range(5):
-        assert table.ba_at(d) == contraction_ba(c, d, t)
-        assert table.aa_at(d) == contraction_aa(c, d, t)
-        assert table.bb_at(d) == contraction_bb(c, d, t)
-    for d in (1, 2, 3, 4):
-        assert table.ba_at(-d) == pytest.approx(contraction_ba(c, -d, t), abs=1e-15)
+    gamma = contraction_table(c, t, 3)
+    assert gamma.shape == (8, 8)
+    assert np.array_equal(gamma, -gamma.T)
+    for s in range(4):
+        assert gamma[2 * s, 2 * s + 1] == pytest.approx(-contraction_ba(c, 0, t), abs=1e-15)
+        for s2 in range(s + 1, 4):
+            d = s2 - s
+            assert gamma[2 * s + 1, 2 * s2] == pytest.approx(contraction_ba(c, d, t), abs=1e-15)
+            assert gamma[2 * s, 2 * s2 + 1] == pytest.approx(-contraction_ba(c, -d, t), abs=1e-15)
+            assert gamma[2 * s, 2 * s2] == pytest.approx(contraction_aa(c, d, t), abs=1e-15)
+            assert gamma[2 * s + 1, 2 * s2 + 1] == pytest.approx(contraction_bb(c, d, t), abs=1e-15)
 
 
 def test_quench_tracks_exact_diagonalization():

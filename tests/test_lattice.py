@@ -71,7 +71,6 @@ def test_mode_quantities():
         assert 0.0 < m.phi <= math.pi
         assert m.delta == pytest.approx(2 * 0.5 * math.sin(m.phi), abs=1e-15)
         for h in (-1.0, 0.0, 1.3):
-            assert m.alpha_of(h) == pytest.approx(-2 * math.cos(m.phi) - 2 * h, rel=1e-15)
             assert m.lambda_of(h) >= 0.0
             assert m.lambda_of(h) == pytest.approx(dispersion(m.phi, h, 0.5), abs=1e-14)
 
