@@ -2,22 +2,14 @@
 
 The transverse field is a step function h(t) = a for t <= 0 and h(t) = b for
 t > 0.  Fermionization decouples the ring into independent momentum modes, so
-thermal initial states, their exact time evolution, two-point string
-correlators and the pairwise concurrence all come out in closed form.  A dense
-exact-diagonalization oracle for small rings validates the whole pipeline.
+the evolved per-mode states (correlations.mode_blocks), two-point string
+correlators and the pairwise concurrence all come out in closed form.  Two
+oracles stay outside this namespace: xyquench.dynamics reaches each mode's
+state by diagonalizing or integrating its 4x4 Hamiltonian, and xyquench.ed
+diagonalizes small rings densely to validate the whole pipeline.
 """
 
 from .lattice import ChainConfig, Mode, dispersion, mode_grid
-from .dynamics import (
-    ModePropagator,
-    ModeState,
-    asymptotic_mode,
-    closed_form_mode_state,
-    evolve_mode,
-    evolve_mode_numeric,
-    step_propagator,
-    thermal_mode_state,
-)
 from .correlations import (
     contraction_aa,
     contraction_ba,
@@ -27,6 +19,7 @@ from .correlations import (
     correlator_yy,
     correlator_zz,
     magnetization_z,
+    mode_blocks,
     pfaffian,
 )
 from .entanglement import (
@@ -43,14 +36,7 @@ __all__ = [
     "Mode",
     "dispersion",
     "mode_grid",
-    "ModeState",
-    "ModePropagator",
-    "thermal_mode_state",
-    "step_propagator",
-    "evolve_mode",
-    "closed_form_mode_state",
-    "evolve_mode_numeric",
-    "asymptotic_mode",
+    "mode_blocks",
     "contraction_table",
     "contraction_ba",
     "contraction_aa",

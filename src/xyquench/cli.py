@@ -113,22 +113,14 @@ def pair_observables(config: ChainConfig, d: int, t: float):
     return mz, sx, sy, sz, c, entanglement_of_formation(c)
 
 
-def _timeseries_point(args):
-    config, d, t = args
-    return pair_observables(config, d, t)
-
-
-def _surface_point(args):
-    config, d = args
-    return pair_observables(config, d, math.inf)
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 8))
+def _parallel_map(fn, workers: int, *columns):
+    """list(map(fn, *columns)) over equal-length lists, in worker processes if workers > 1."""
+    count = len(columns[0])
+    if workers <= 1 or count <= 1:
+        return list(map(fn, *columns))
+    chunk = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, *columns, chunksize=chunk))
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
@@ -144,29 +136,29 @@ def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> Cha
 def run_timeseries(spec: RunSpec):
     columns = ["t", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     config = _chain(spec, spec.field_a, spec.field_b)
-    times = np.linspace(spec.t_start, spec.t_end, spec.t_steps)
-    points = [(config, spec.offset, float(t)) for t in times]
-    values = _parallel_map(_timeseries_point, points, spec.workers)
-    rows = [[t] + list(vals) for (_, _, t), vals in zip(points, values)]
+    times = [float(t) for t in np.linspace(spec.t_start, spec.t_end, spec.t_steps)]
+    values = _parallel_map(pair_observables, spec.workers,
+                           [config] * len(times), [spec.offset] * len(times), times)
+    rows = [[t] + list(vals) for t, vals in zip(times, values)]
     rows.append([math.inf] + list(pair_observables(config, spec.offset, math.inf)))
     if spec.time_average is not None:
         window = np.linspace(spec.time_average, 2.0 * spec.time_average, AVERAGE_SAMPLES)
-        sampled = _parallel_map(
-            _timeseries_point, [(config, spec.offset, float(t)) for t in window], spec.workers
-        )
+        sampled = _parallel_map(pair_observables, spec.workers, [config] * len(window),
+                                [spec.offset] * len(window), [float(t) for t in window])
         rows.append(["avg"] + list(np.mean(np.asarray(sampled), axis=0)))
-    _convergence_check(spec, [(spec.field_a, spec.field_b, float(t)) for t in times])
+    _convergence_check(spec, [(spec.field_a, spec.field_b, t) for t in times])
     return columns, rows, 0
 
 
 def run_surface(spec: RunSpec):
     columns = ["a", "b", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
-    points = [(_chain(spec, float(a), float(b)), spec.offset) for a in grid for b in grid]
-    values = _parallel_map(_surface_point, points, spec.workers)
+    configs = [_chain(spec, float(a), float(b)) for a in grid for b in grid]
+    values = _parallel_map(pair_observables, spec.workers, configs,
+                           [spec.offset] * len(configs), [math.inf] * len(configs))
     rows = [
         [cfg.field_before, cfg.field_after, vals[4], vals[5]]
-        for (cfg, _), vals in zip(points, values)
+        for cfg, vals in zip(configs, values)
     ]
     samples = [
         (float(grid[i % len(grid)]), float(grid[(i * 7) % len(grid)]), math.inf)
@@ -179,9 +171,10 @@ def run_surface(spec: RunSpec):
 def run_equilibrium(spec: RunSpec):
     columns = ["h", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
-    points = [(_chain(spec, float(h), float(h)), spec.offset, 0.0) for h in grid]
-    values = _parallel_map(_timeseries_point, points, spec.workers)
-    rows = [[cfg.field_before] + list(vals) for (cfg, _, _), vals in zip(points, values)]
+    configs = [_chain(spec, float(h), float(h)) for h in grid]
+    values = _parallel_map(pair_observables, spec.workers, configs,
+                           [spec.offset] * len(configs), [0.0] * len(configs))
+    rows = [[cfg.field_before] + list(vals) for cfg, vals in zip(configs, values)]
     return columns, rows, 0
 
 

@@ -4,7 +4,10 @@ With A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, every equal-time spin
 observable reduces to the three elementary contractions <B_l A_m>, <A_l A_m>
 and <B_l B_m>.  They depend only on the offset m - l, through three sums over
 the N/2 momentum modes: the cos- and sin-weighted halves C and S of <BA> and
-the imaginary part I shared by <AA> and <BB>.  contraction_table arranges them
+the imaginary part I shared by <AA> and <BB>.  The summands are the evolved
+per-mode states of mode_blocks, the package's one closed form for them
+(dynamics reaches the same states by diagonalization, as a test oracle).
+contraction_table arranges the sums
 into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
 and each spin-spin correlator is 1/4 times the Pfaffian of the rows and
 columns of Gamma that its operator string picks out (Wick's theorem for the
@@ -24,29 +27,38 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DEGENERACY_EPS, SERIES_EPS
 from .errors import NumericalError
 from .lattice import ChainConfig, grid_arrays
 
+# Below this, expressions with Lambda(b) in a denominator switch to their
+# series limit (sin(2 t L)/L -> 2 t and friends).
+SERIES_EPS = 1e-8
+# Below this, Lambda(a) counts as exactly degenerate: at kT = 0 the whole
+# 4-dimensional subspace is then a ground space and the state is uniform.
+DEGENERACY_EPS = 1e-12
 # Correlators are real; anything above this imaginary residue means the
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
 
 
-class _ModeData(NamedTuple):
-    """Per-mode arrays entering every contraction sum at fixed (config, t)."""
+class ModeBlocks(NamedTuple):
+    """Evolved (vacuum, pair) density block of every mode at fixed (config, t)."""
 
     phi: np.ndarray
-    delta: np.ndarray
-    x_a: np.ndarray  # cos(phi) + a
-    x_b: np.ndarray  # cos(phi) + b
-    weight: np.ndarray  # tanh(Lambda_a/kT)/Lambda_a with kT = 0 handled
-    w: np.ndarray  # sin^2(2 t Lambda_b)/Lambda_b^2, dephased to 1/(2 Lambda_b^2)
-    v: np.ndarray  # sin(4 t Lambda_b)/Lambda_b, dephased to 0
+    population: np.ndarray  # rho22 - rho11, pair minus vacuum occupation
+    coherence: np.ndarray  # rho12 = <vacuum| rho |pair>
 
 
 @lru_cache(maxsize=16)
-def _mode_data(config: ChainConfig, t: float) -> _ModeData:
+def mode_blocks(config: ChainConfig, t: float) -> ModeBlocks:
+    """Per-mode state after the quench a -> b, in the closed form of Barouch & McCoy.
+
+    Each momentum subspace has basis (vacuum, pair, single +p, single -p);
+    only the (vacuum, pair) block enters the contractions.  The Gibbs state
+    at field a is weighted by tanh(Lambda_a/kT)/Lambda_a (kT = 0 allowed) and
+    rotates under field b at frequency 4 Lambda_b; t = math.inf keeps its
+    dephased part.  The arrays are cached and read-only.
+    """
     phi, delta = grid_arrays(config)
     a, b = config.field_before, config.field_after
     x_a = np.cos(phi) + a
@@ -66,6 +78,9 @@ def _mode_data(config: ChainConfig, t: float) -> _ModeData:
         np.divide(np.tanh(arg), lam_a, out=weight, where=~small)
         weight[small] = (1.0 - arg[small] ** 2 / 3.0) / config.kt
 
+    # w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b,
+    # dephased to 1/(2 Lambda_b^2) and 0; modes with Lambda_b below the series
+    # threshold never evolve.
     evolving = lam_b >= SERIES_EPS
     safe_lam_b = np.where(evolving, lam_b, 1.0)
     if math.isinf(t):
@@ -75,23 +90,29 @@ def _mode_data(config: ChainConfig, t: float) -> _ModeData:
         s = np.where(evolving, np.sin(2.0 * t * lam_b) / safe_lam_b, 2.0 * t)
         w = s * s
         v = np.where(evolving, np.sin(4.0 * t * lam_b) / safe_lam_b, 4.0 * t)
-    return _ModeData(phi, delta, x_a, x_b, weight, w, v)
+    population = 0.5 * (weight * (delta**2 * (b - a) * w + 2.0 * x_a))
+    coherence = -0.25 * (weight * delta * (a - b) * v) + 0.25j * (
+        weight * delta * (1.0 + 2.0 * (a - b) * x_b * w)
+    )
+    for arr in (phi, population, coherence):
+        arr.flags.writeable = False
+    return ModeBlocks(phi, population, coherence)
 
 
 def _offset_sums(config: ChainConfig, t: float, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, S and I at each offset d, from one (modes x offsets) cos/sin table.
 
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
-    are odd in d, C is even.
+    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11), S weighs
+    4 Im rho12 and I weighs -4 Re rho12.
     """
-    md = _mode_data(config, t)
-    a, b = config.field_before, config.field_after
-    angle = np.multiply.outer(md.phi, np.asarray(offsets, dtype=float))
+    blocks = mode_blocks(config, t)
+    angle = np.multiply.outer(blocks.phi, np.asarray(offsets, dtype=float))
     cos, sin = np.cos(angle), np.sin(angle)
     n = config.n_sites
-    c = (md.weight * (md.delta**2 * (b - a) * md.w + 2.0 * md.x_a)) @ cos / n
-    s = (md.weight * md.delta * (1.0 + 2.0 * (a - b) * md.x_b * md.w)) @ sin / n
-    im = (md.weight * md.delta * (a - b) * md.v) @ sin / n
+    c = (2.0 * blocks.population) @ cos / n
+    s = (4.0 * blocks.coherence.imag) @ sin / n
+    im = (-4.0 * blocks.coherence.real) @ sin / n
     return c, s, im
 
 

@@ -88,13 +88,16 @@ def two_site_state(mz: float, sx: float, sy: float, sz: float) -> TwoSiteState:
     trace = rho11 + 2.0 * rho22 + rho44
     if abs(trace - 1.0) > CLAMP_TOL:
         raise InvalidStateError(f"two-site trace {trace!r} differs from 1 beyond {CLAMP_TOL}")
-    if abs(rho14) > math.sqrt(rho11 * rho44) + X_POSITIVITY_TOL:
+    outer = math.sqrt(rho11 * rho44)
+    if abs(rho14) > outer + X_POSITIVITY_TOL:
         raise InvalidStateError(
-            f"|rho14| = {abs(rho14):.6e} exceeds sqrt(rho11 rho44) = "
-            f"{math.sqrt(rho11 * rho44):.6e}"
+            f"|rho14| = {abs(rho14):.6e} exceeds sqrt(rho11 rho44) = {outer:.6e} "
+            f"by {abs(rho14) - outer:.1e}"
         )
     if abs(rho23) > rho22 + X_POSITIVITY_TOL:
-        raise InvalidStateError(f"|rho23| = {abs(rho23):.6e} exceeds rho22 = {rho22:.6e}")
+        raise InvalidStateError(
+            f"|rho23| = {abs(rho23):.6e} exceeds rho22 = {rho22:.6e} by {abs(rho23) - rho22:.1e}"
+        )
     return TwoSiteState(rho11, rho22, rho22, rho44, rho14, rho23)
 
 

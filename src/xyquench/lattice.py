@@ -9,8 +9,10 @@ phi_p = 2*pi*p/N.  Each mode carries
     delta_p     =  2*gamma*sin(phi_p)
     Lambda_p(h) =  sqrt((cos(phi_p) + h)**2 + gamma**2 * sin(phi_p)**2)
 
-and everything downstream (thermal occupations, propagators, contractions)
-is built from these two quantities and cos(phi_p) + h.
+and everything downstream (the per-mode states of correlations.mode_blocks
+and the contractions summed over them) is built from these two quantities
+and cos(phi_p) + h.  grid_arrays feeds production; mode_grid's Mode objects
+feed the per-mode oracle in dynamics and the tests.
 """
 
 from __future__ import annotations

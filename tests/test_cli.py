@@ -222,6 +222,7 @@ def test_numerical_failure_names_its_point(capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "N = 2000, kT = 0.0, a = 0.0, b = 0.0, d = 1, t = inf" in err
+    assert "exceeds sqrt(rho11 rho44) = 2.499998e-01 by 2.5e-07" in err
 
 
 def test_flat_error_schedule_exits_three(capsys):

@@ -14,10 +14,11 @@ from xyquench.correlations import (
     correlator_yy,
     correlator_zz,
     magnetization_z,
+    mode_blocks,
     pfaffian,
 )
 from xyquench import ed
-from xyquench.dynamics import asymptotic_mode, evolve_mode, step_propagator, thermal_mode_state
+from xyquench.dynamics import spectral_mode_state
 from xyquench.lattice import ChainConfig, mode_grid
 
 
@@ -94,26 +95,23 @@ def test_pfaffian_signed_permutation_covariance():
 
 
 def test_contractions_are_sums_over_mode_states():
-    # Ties the production sums to the per-mode states of `dynamics`:
+    # Ties production to the spectral oracle of `dynamics`: mode_blocks holds
+    # each mode's rho22 - rho11 and rho12, and
     # <B_l A_{l+d}> = (1/N) sum_p [2(rho22 - rho11) cos(d phi) + 4 Im rho12 sin(d phi)]
     # and Im <A_l A_{l+d}> = -(4/N) sum_p Re rho12 sin(d phi).
     rng = np.random.default_rng(17)
     configs = [_random_config(rng) for _ in range(30)]
     configs += [ChainConfig(16, 1.0, 0.0, 1.0, 0.4), ChainConfig(12, 0.7, 0.0, 0.3, 1.0),
-                ChainConfig(10, 1.0, 0.8, 1.0, 1.0)]
+                ChainConfig(10, 1.0, 0.8, 1.0, 1.0), ChainConfig(8, 1.0, 0.0, 1.0, 1.0)]
     for c in configs:
         modes = mode_grid(c)
         phi = np.array([m.phi for m in modes])
         for t in (0.0, float(rng.uniform(0, 20)), math.inf):
-            if math.isinf(t):
-                states = [asymptotic_mode(m, c.field_before, c.field_after, c.kt) for m in modes]
-            else:
-                states = [
-                    evolve_mode(thermal_mode_state(m, c.field_before, c.kt),
-                                step_propagator(m, c.field_after, t))
-                    for m in modes
-                ]
-            rho = np.array([s.occ_block for s in states])
+            rho = np.array([spectral_mode_state(m, c.field_before, c.field_after, c.kt, t)
+                            for m in modes])
+            blocks = mode_blocks(c, t)
+            assert np.max(np.abs(blocks.population - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
+            assert np.max(np.abs(blocks.coherence - rho[:, 0, 1])) < 1e-13
             for d in range(-3, 4):
                 cos_d, sin_d = np.cos(d * phi), np.sin(d * phi)
                 ba = np.sum(2.0 * (rho[:, 1, 1] - rho[:, 0, 0]).real * cos_d

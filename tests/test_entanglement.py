@@ -46,8 +46,12 @@ def test_assembly_rejects_negative_population():
 
 
 def test_assembly_rejects_x_positivity_violation():
-    with pytest.raises(InvalidStateError):
+    # Each message names the excess: |rho14| = 0.8 against sqrt(rho11 rho44)
+    # = 0.45, and |rho23| = 0.8 against rho22 = 0.45.
+    with pytest.raises(InvalidStateError, match=r"rho14.* by 3\.5e-01$"):
         two_site_state(mz=0.0, sx=0.4, sy=-0.4, sz=0.2)
+    with pytest.raises(InvalidStateError, match=r"rho23.* by 3\.5e-01$"):
+        two_site_state(mz=0.0, sx=0.4, sy=0.4, sz=-0.2)
 
 
 def test_assembly_clamps_rounding_debris():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xyquench.lattice import ChainConfig, Mode, dispersion, grid_arrays, mode_grid
+from xyquench.lattice import ChainConfig, dispersion, grid_arrays, mode_grid
 
 
 def test_dispersion_values():
