@@ -27,7 +27,7 @@ import numpy as np
 from .correlations import correlator_xx, correlator_yy, correlator_zz, magnetization_z
 from .ed import quench_series
 from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state
-from .errors import NumericalError
+from .errors import NumericalError, at_point
 from .lattice import ChainConfig
 
 COMMANDS = ("timeseries", "surface", "equilibrium", "oracle-compare")
@@ -36,6 +36,11 @@ COMMANDS = ("timeseries", "surface", "equilibrium", "oracle-compare")
 CONVERGENCE_TOL = 1e-4
 CONVERGENCE_SAMPLES = 5
 AVERAGE_SAMPLES = 200
+# Points x modes in one chunk of a batched evaluation: 4 times at N = 20000,
+# 40 points at N = 2000.  It bounds the chunk's (points x modes) arrays, three
+# of 8 bytes per element plus temporaries; at 60000 the peak RSS of a 61 x 61
+# surface at N = 2000 rose by 2%.
+CHUNK_ELEMENTS = 40000
 
 
 @dataclass(frozen=True)
@@ -94,33 +99,53 @@ class RunSpec:
                 raise ValueError(f"--n-list entries must be even and in 4..12, got {n}")
 
 
+def _observables(configs, d: int, times) -> list:
+    """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at each point of one batch.
+
+    The correlators run on the whole batch; the two-site state, concurrence
+    and EoF run point by point in order, so the first non-physical point is
+    the one reported, with its location.
+    """
+    sx = correlator_xx(configs, d, times)
+    sy = correlator_yy(configs, d, times)
+    sz = correlator_zz(configs, d, times)
+    mz = magnetization_z(configs, times)
+    rows = []
+    for config, t, *values in zip(configs, times, mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()):
+        try:
+            c = concurrence_x(two_site_state(*values))
+        except NumericalError as exc:
+            raise at_point(exc, config, d, t) from exc
+        rows.append((*values, c, entanglement_of_formation(c)))
+    return rows
+
+
 def pair_observables(config: ChainConfig, d: int, t: float):
     """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at time t (inf allowed).
 
     A NumericalError keeps its type and gains the point it happened at.
     """
-    try:
-        mz = magnetization_z(config, t)
-        sx = correlator_xx(config, d, t)
-        sy = correlator_yy(config, d, t)
-        sz = correlator_zz(config, d, t)
-        c = concurrence_x(two_site_state(mz, sx, sy, sz))
-    except NumericalError as exc:
-        raise type(exc)(
-            f"{exc} (at N = {config.n_sites}, kT = {config.kt}, a = {config.field_before}, "
-            f"b = {config.field_after}, d = {d}, t = {t})"
-        ) from exc
-    return mz, sx, sy, sz, c, entanglement_of_formation(c)
+    return _observables((config,), d, (t,))[0]
 
 
-def _parallel_map(fn, workers: int, *columns):
-    """list(map(fn, *columns)) over equal-length lists, in worker processes if workers > 1."""
-    count = len(columns[0])
-    if workers <= 1 or count <= 1:
-        return list(map(fn, *columns))
-    chunk = max(1, count // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns, chunksize=chunk))
+def _evaluate(configs: list, d: int, times: list, workers: int = 1) -> list:
+    """pair_observables at every point (configs of one ring size), in point order.
+
+    The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one;
+    the boundaries depend only on the point index and N, not on workers.
+    With workers > 1 the chunks are spread over worker processes.
+    """
+    size = max(1, CHUNK_ELEMENTS // (configs[0].n_sites // 2))
+    starts = range(0, len(configs), size)
+    columns = ([configs[i : i + size] for i in starts], [d] * len(starts),
+               [times[i : i + size] for i in starts])
+    if workers <= 1 or len(starts) <= 1:
+        chunks = map(_observables, *columns)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_observables, *columns,
+                                   chunksize=max(1, len(starts) // (workers * 8))))
+    return [row for chunk in chunks for row in chunk]
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
@@ -137,15 +162,15 @@ def run_timeseries(spec: RunSpec):
     columns = ["t", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     config = _chain(spec, spec.field_a, spec.field_b)
     times = [float(t) for t in np.linspace(spec.t_start, spec.t_end, spec.t_steps)]
-    values = _parallel_map(pair_observables, spec.workers,
-                           [config] * len(times), [spec.offset] * len(times), times)
-    rows = [[t] + list(vals) for t, vals in zip(times, values)]
-    rows.append([math.inf] + list(pair_observables(config, spec.offset, math.inf)))
+    window = []
     if spec.time_average is not None:
-        window = np.linspace(spec.time_average, 2.0 * spec.time_average, AVERAGE_SAMPLES)
-        sampled = _parallel_map(pair_observables, spec.workers, [config] * len(window),
-                                [spec.offset] * len(window), [float(t) for t in window])
-        rows.append(["avg"] + list(np.mean(np.asarray(sampled), axis=0)))
+        window = [float(t) for t in np.linspace(spec.time_average, 2.0 * spec.time_average,
+                                                AVERAGE_SAMPLES)]
+    points = times + [math.inf] + window
+    values = _evaluate([config] * len(points), spec.offset, points, spec.workers)
+    rows = [[t] + list(vals) for t, vals in zip(times + [math.inf], values)]
+    if window:
+        rows.append(["avg"] + list(np.mean(np.asarray(values[len(times) + 1 :]), axis=0)))
     _convergence_check(spec, [(spec.field_a, spec.field_b, t) for t in times])
     return columns, rows, 0
 
@@ -154,8 +179,7 @@ def run_surface(spec: RunSpec):
     columns = ["a", "b", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
     configs = [_chain(spec, float(a), float(b)) for a in grid for b in grid]
-    values = _parallel_map(pair_observables, spec.workers, configs,
-                           [spec.offset] * len(configs), [math.inf] * len(configs))
+    values = _evaluate(configs, spec.offset, [math.inf] * len(configs), spec.workers)
     rows = [
         [cfg.field_before, cfg.field_after, vals[4], vals[5]]
         for cfg, vals in zip(configs, values)
@@ -172,8 +196,7 @@ def run_equilibrium(spec: RunSpec):
     columns = ["h", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
     configs = [_chain(spec, float(h), float(h)) for h in grid]
-    values = _parallel_map(pair_observables, spec.workers, configs,
-                           [spec.offset] * len(configs), [0.0] * len(configs))
+    values = _evaluate(configs, spec.offset, [0.0] * len(configs), spec.workers)
     rows = [[cfg.field_before] + list(vals) for cfg, vals in zip(configs, values)]
     return columns, rows, 0
 
@@ -204,11 +227,12 @@ def run_oracle_compare(spec: RunSpec):
 
 def _convergence_check(spec: RunSpec, samples):
     """Recompute C at doubled N on a few sampled points; warn if it moved."""
-    worst = 0.0
-    for a, b, t in samples[:CONVERGENCE_SAMPLES]:
-        base = pair_observables(_chain(spec, a, b), spec.offset, t)[4]
-        doubled = pair_observables(_chain(spec, a, b, n_sites=2 * spec.n_sites), spec.offset, t)[4]
-        worst = max(worst, abs(base - doubled))
+    samples = samples[:CONVERGENCE_SAMPLES]
+    times = [t for _, _, t in samples]
+    base = _evaluate([_chain(spec, a, b) for a, b, _ in samples], spec.offset, times)
+    doubled = _evaluate([_chain(spec, a, b, n_sites=2 * spec.n_sites) for a, b, _ in samples],
+                        spec.offset, times)
+    worst = max(abs(x[4] - y[4]) for x, y in zip(base, doubled))
     if worst > CONVERGENCE_TOL:
         print(
             f"warning: concurrence shifts by {worst:.2e} when N doubles from "

@@ -11,3 +11,11 @@ class InvalidStateError(NumericalError):
 
 class IntegrationError(NumericalError):
     """The ODE integrator failed (step-size underflow or non-convergence)."""
+
+
+def at_point(exc: NumericalError, config, d: int, t: float) -> NumericalError:
+    """An error of exc's type whose message also names the point it happened at."""
+    return type(exc)(
+        f"{exc} (at N = {config.n_sites}, kT = {config.kt}, a = {config.field_before}, "
+        f"b = {config.field_after}, d = {d}, t = {t})"
+    )

@@ -61,6 +61,14 @@ class Mode:
         return math.hypot(math.cos(self.phi) + h, 0.5 * self.delta)
 
 
+def momenta(n_sites: int) -> np.ndarray:
+    """phi_p = 2*pi*p/N for p = 1..N/2, the last entry pinned to phi = pi exactly."""
+    p = np.arange(1, n_sites // 2 + 1, dtype=float)
+    phi = 2.0 * np.pi * p / n_sites
+    phi[-1] = np.pi
+    return phi
+
+
 def grid_arrays(config: ChainConfig):
     """phi_p and delta_p for p = 1..N/2 as arrays.
 
@@ -68,10 +76,7 @@ def grid_arrays(config: ChainConfig):
     sin(pi) would otherwise leave a ~1e-16 residue that breaks exact
     degeneracy detection at the zone boundary.
     """
-    half = config.n_sites // 2
-    p = np.arange(1, half + 1, dtype=float)
-    phi = 2.0 * np.pi * p / config.n_sites
-    phi[-1] = np.pi
+    phi = momenta(config.n_sites)
     delta = 2.0 * config.gamma * np.sin(phi)
     delta[-1] = 0.0
     return phi, delta

@@ -2,11 +2,14 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from xyquench.cli import RunSpec, _cell, build_spec, main, pair_observables
+from xyquench import cli, correlations
+from xyquench.cli import RunSpec, _cell, _evaluate, build_spec, main, pair_observables
+from xyquench.errors import InvalidStateError
 from xyquench.lattice import ChainConfig
 
 QUENCH = ("--field-a", "1.001", "--field-b", "0.5", "--kt", "0.5")
@@ -232,6 +235,74 @@ def test_flat_error_schedule_exits_three(capsys):
                  "--t-steps", "2", "--t-end", "1.0"])
     assert code == 3
     assert "not strictly decreasing" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- batched evaluation
+
+
+def _mixed_points(rng, n=64):
+    """Points at kT = 0 and kT > 0, with the degenerate a = b = 1 modes, at t = 0, a random t and inf."""
+    configs = [ChainConfig(n, 1.0, 0.0, 1.0, 1.0), ChainConfig(n, 1.0, 0.4, 1.0, 1.0),
+               ChainConfig(n, 0.8, 0.0, 0.6, 1.4), ChainConfig(n, 1.0, 0.5, 1.001, 0.5),
+               ChainConfig(n, 1.2, 0.2, 1.5, 1.0)]
+    points = [(c, t) for c in configs for t in (0.0, float(rng.uniform(0, 20)), math.inf)]
+    points += [points[i] for i in rng.permutation(len(points))]  # configs out of order too
+    return [c for c, _ in points], [t for _, t in points]
+
+
+def test_batched_observables_equal_one_point_calls():
+    configs, times = _mixed_points(np.random.default_rng(20))
+    for d in (1, 2, 3):
+        batched = np.array(_evaluate(configs, d, times))
+        single = np.array([pair_observables(c, d, t) for c, t in zip(configs, times)])
+        assert np.max(np.abs(batched - single)) <= 1e-13
+
+
+def test_chunk_size_does_not_move_rows(monkeypatch):
+    configs, times = _mixed_points(np.random.default_rng(21))
+    rows = {}
+    for budget in (1, 100, 10**9):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        rows[budget] = np.array(_evaluate(configs, 2, times))
+    assert np.max(np.abs(rows[1] - rows[10**9])) <= 1e-13
+    assert np.max(np.abs(rows[100] - rows[10**9])) <= 1e-13
+
+
+@pytest.mark.parametrize("chunk", [0, 2])
+def test_first_invalid_point_of_a_batch_is_named(chunk):
+    # (a, b) = (0, 0) is non-physical at N = 2000 and kT = 0 for every t.  The
+    # first such point sits mid-chunk and a second one later in that chunk.
+    size = cli.CHUNK_ELEMENTS // 1000
+    first_bad = chunk * size + size // 3
+    fields = [(0.1 * (i % 9), 0.2 + 0.1 * (i % 7)) for i in range(3 * size)]
+    times = [math.inf] * len(fields)
+    fields[first_bad], times[first_bad] = (0.0, 0.0), 1.5
+    fields[first_bad + size // 3] = (0.0, 0.0)
+    configs = [ChainConfig(2000, 1.0, 0.0, a, b) for a, b in fields]
+    with pytest.raises(InvalidStateError) as info:
+        _evaluate(configs, 1, times)
+    assert str(info.value).endswith("(at N = 2000, kT = 0.0, a = 0.0, b = 0.0, d = 1, t = 1.5)")
+
+
+# 5 points per chunk at N = 32 and 2 at N = 64.  The surface's 16 points take
+# 4 chunks and the time series' 10 (9 times and inf) take 2; the doubled-N
+# check adds 1 chunk at N = 32 and 3 at N = 64 for its 5 samples.
+@pytest.mark.parametrize("argv, chunks", [
+    (["surface", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"], 4 + 1 + 3),
+    (["timeseries", "--t-steps", "9", *QUENCH], 2 + 1 + 3),
+])
+def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, argv, chunks):
+    # Each chunk makes one call per correlator to the Pfaffian and to the
+    # contraction table; a fall-back to per-point evaluation multiplies them.
+    calls = Counter()
+    for name in ("pfaffian", "contraction_table"):
+        def counted(*args, _fn=getattr(correlations, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(correlations, name, counted)
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 80)
+    assert main([*argv, "--n-sites", "32", "--kt", "0.5", "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == {"pfaffian": 3 * chunks, "contraction_table": 3 * chunks}
 
 
 # ------------------------------------------------------------ physics knobs

@@ -67,15 +67,45 @@ def test_pfaffian_empty_matrix_is_one():
 
 
 def test_pfaffian_odd_dimension_raises():
-    with pytest.raises(ValueError):
-        pfaffian(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        pfaffian(np.zeros((2, 3)))
+    for shape in ((3, 3), (2, 3), (4, 3, 3), (2, 2, 2, 2)):
+        with pytest.raises(ValueError):
+            pfaffian(np.zeros(shape))
 
 
 def test_pfaffian_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         pfaffian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = 1.0  # only the middle member is broken
+    with pytest.raises(ValueError):
+        pfaffian(stack)
+
+
+def test_pfaffian_of_a_stack_is_each_matrix_pfaffian():
+    rng = np.random.default_rng(18)
+    for dim in range(0, 10, 2):
+        stack = np.array([_random_skew(rng, dim) for _ in range(7)])
+        values = pfaffian(stack)
+        assert values.shape == (7,)
+        assert np.array_equal(values, [pfaffian(m) for m in stack])
+        if dim:
+            assert np.allclose(values**2, np.linalg.det(stack), rtol=1e-9, atol=0.0)
+        else:
+            assert np.array_equal(values, np.ones(7))
+
+
+def test_pfaffian_zero_pivot_zeroes_only_its_matrix():
+    rng = np.random.default_rng(19)
+    first_column = _random_skew(rng, 6)
+    first_column[:, 0] = first_column[0, :] = 0.0  # zero pivot at the first step
+    later = np.zeros((6, 6), dtype=complex)
+    later[:4, :4] = _random_skew(rng, 4)  # zero pivot once the last pair is reached
+    stack = np.array([_random_skew(rng, 6), first_column, _random_skew(rng, 6), later,
+                      _random_skew(rng, 6)])
+    values = pfaffian(stack)
+    assert values[1] == 0.0 and values[3] == 0.0
+    for i in (0, 2, 4):
+        assert values[i] == pfaffian(stack[i]) != 0.0
 
 
 def test_pfaffian_signed_permutation_covariance():
@@ -101,15 +131,22 @@ def test_contractions_are_sums_over_mode_states():
     # and Im <A_l A_{l+d}> = -(4/N) sum_p Re rho12 sin(d phi).
     rng = np.random.default_rng(17)
     configs = [_random_config(rng) for _ in range(30)]
+    # The last config is at kT = 0 with Lambda(a) = 1e-6 on its phi = pi mode: a
+    # live ground state for both the degeneracy rule and the oracle.
     configs += [ChainConfig(16, 1.0, 0.0, 1.0, 0.4), ChainConfig(12, 0.7, 0.0, 0.3, 1.0),
-                ChainConfig(10, 1.0, 0.8, 1.0, 1.0), ChainConfig(8, 1.0, 0.0, 1.0, 1.0)]
+                ChainConfig(10, 1.0, 0.8, 1.0, 1.0), ChainConfig(8, 1.0, 0.0, 1.0, 1.0),
+                ChainConfig(12, 0.8, 0.0, 1.0 - 1e-6, 0.4)]
     for c in configs:
         modes = mode_grid(c)
         phi = np.array([m.phi for m in modes])
-        for t in (0.0, float(rng.uniform(0, 20)), math.inf):
+        times = (0.0, float(rng.uniform(0, 20)), math.inf)
+        batch = mode_blocks(c, times)
+        for i, t in enumerate(times):
             rho = np.array([spectral_mode_state(m, c.field_before, c.field_after, c.kt, t)
                             for m in modes])
             blocks = mode_blocks(c, t)
+            assert np.array_equal(batch.population[i], blocks.population)
+            assert np.array_equal(batch.coherence[i], blocks.coherence)
             assert np.max(np.abs(blocks.population - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
             assert np.max(np.abs(blocks.coherence - rho[:, 0, 1])) < 1e-13
             for d in range(-3, 4):
@@ -119,6 +156,18 @@ def test_contractions_are_sums_over_mode_states():
                 aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
                 assert abs(contraction_ba(c, d, t) - ba) < 1e-13
                 assert abs(contraction_aa(c, d, t).imag - aa) < 1e-13
+
+
+def test_batches_take_matching_points_of_one_ring_size():
+    c = ChainConfig(12, 0.8, 0.3, 1.5, 0.5)
+    assert magnetization_z([c, c], 2.0).shape == (2,)
+    assert contraction_table(c, (0.0, 1.0, math.inf), 2).shape == (3, 6, 6)
+    with pytest.raises(ValueError):
+        magnetization_z([c, c, c], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        magnetization_z([c, ChainConfig(16, 0.8, 0.3, 1.5, 0.5)], 2.0)
+    with pytest.raises(ValueError):
+        correlator_xx([], 1, [])
 
 
 def test_magnetization_is_half_ba_zero():

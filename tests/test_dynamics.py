@@ -71,6 +71,17 @@ def test_thermal_rejects_negative_temperature():
         mode_blocks(ChainConfig(10, 1.0, -0.5, 1.0, 1.0), 0.0)
 
 
+def test_thermal_weight_is_tanh_over_lambda_on_both_sides_of_the_series_switch():
+    # The phi = pi mode has delta = 0, so its rho22 - rho11 is the weight
+    # tanh(Lambda_a/kT)/Lambda_a times x_a = cos(pi) + a = Lambda_a = 0.5.
+    # The weight switches to its series 1 - x^2/3 below x = Lambda_a/kT = 1e-6.
+    for x in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
+        kt = 0.5 / x
+        arg = 0.5 / kt
+        population = mode_blocks(ChainConfig(8, 1.0, kt, 1.5, 1.5), 0.0).population[-1]
+        assert abs(population / 0.5 - math.tanh(arg) / arg / kt) <= 1e-15 * population / 0.5
+
+
 def test_thermal_zero_temperature_limit_is_continuous():
     rng = np.random.default_rng(3)
     for _ in range(10):
