@@ -1,5 +1,6 @@
 """Brute-force oracle checks and its agreement envelope with the mode pipeline."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,10 +33,42 @@ def test_polarized_diagonal_element():
     assert ham[0, 0].imag == 0.0
 
 
+# (gamma, h) pairs for the Hamiltonian checks: the Ising point at zero field,
+# and fields on both sides of the transition.
+FIELDS = ((1.0, 0.0), (1.0, 1.5), (0.8, 1.1), (0.6, 0.4), (0.3, 2.0))
+
+
+def _kron_hamiltonian(n, gamma, h):
+    """Reference H as a sum of Kronecker products, site 0 as the first factor."""
+    def site_product(ops):
+        return functools.reduce(np.kron, [ops.get(k, np.eye(2)) for k in range(n)])
+
+    ham = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        j = (i + 1) % n
+        ham -= 0.5 * (1.0 + gamma) * site_product({i: ed.SX, j: ed.SX})
+        ham -= 0.5 * (1.0 - gamma) * site_product({i: ed.SY, j: ed.SY})
+        ham -= h * site_product({i: ed.SZ})
+    return ham
+
+
+def test_hamiltonian_matches_kronecker_reference():
+    for n in (4, 6, 8):
+        for gamma, h in FIELDS:
+            ham = ed.build_hamiltonian(n, gamma, h)
+            assert ham.dtype == np.float64
+            assert np.max(np.abs(ham - _kron_hamiltonian(n, gamma, h))) < 1e-14
+
+
 def test_hamiltonian_commutes_with_parity():
-    ham = ed.build_hamiltonian(6, 0.8, 1.1)
-    parity = np.diag([(-1) ** bin(k).count("1") for k in range(2**6)]).astype(complex)
-    assert np.max(np.abs(ham @ parity - parity @ ham)) < 1e-12
+    # Entries between even- and odd-popcount states are exactly zero, so the
+    # two parity blocks of quench_series drop nothing.
+    for n in (4, 6, 8):
+        odd = np.array([bin(k).count("1") % 2 for k in range(2**n)], dtype=bool)
+        for gamma, h in FIELDS:
+            ham = ed.build_hamiltonian(n, gamma, h)
+            assert not ham[np.ix_(odd, ~odd)].any()
+            assert not ham[np.ix_(~odd, odd)].any()
 
 
 def test_site_range_validation():
@@ -144,17 +177,27 @@ def test_magnetization_of_polarized_state():
 
 
 def test_quench_series_matches_manual_composition():
-    n, gamma, kt, a, b = 6, 1.0, 0.5, 1.001, 0.5
-    times = (0.0, 1.3)
-    rows = ed.quench_series(n, gamma, kt, a, b, times, d=1)
-    rho0 = ed.thermal_state(ed.build_hamiltonian(n, gamma, a), kt)
-    ham_b = ed.build_hamiltonian(n, gamma, b)
-    for t, (mz, sx, sy, sz, pair) in zip(times, rows):
-        rho_t = ed.evolve(rho0, ham_b, t)
-        assert mz == pytest.approx(ed.magnetization(rho_t), abs=1e-12)
-        ex, ey, ez = ed.pair_correlators(rho_t, 0, 1)
-        assert (sx, sy, sz) == pytest.approx((ex, ey, ez), abs=1e-12)
-        assert np.max(np.abs(pair - ed.reduce_pair(rho_t, 0, 1))) < 1e-12
+    # The parity-blocked route against thermal_state + evolve on the full
+    # matrix.  At gamma = 1, a = 0 the kT = 0 ground pair is exactly degenerate
+    # with one state in each sector, so a ground space kept to one sector
+    # fails there; at a != 0 the odd sector's lowest level lies above the
+    # ground, so weights shifted per sector fail; weights normalized per
+    # sector fail everywhere.
+    times = (0.0, 1.3, 4.1)
+    for n in (6, 8):
+        for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4)):
+            ham_a = ed.build_hamiltonian(n, gamma, a)
+            ham_b = ed.build_hamiltonian(n, gamma, b)
+            for kt in (0.0, 0.5):
+                rho0 = ed.thermal_state(ham_a, kt)
+                states = [ed.evolve(rho0, ham_b, t) for t in times]
+                for d in (1, 2):
+                    rows = ed.quench_series(n, gamma, kt, a, b, times, d=d)
+                    for rho_t, (mz, sx, sy, sz, pair) in zip(states, rows):
+                        assert mz == pytest.approx(ed.magnetization(rho_t), abs=1e-12)
+                        expected = ed.pair_correlators(rho_t, 0, d)
+                        assert (sx, sy, sz) == pytest.approx(expected, abs=1e-12)
+                        assert np.max(np.abs(pair - ed.reduce_pair(rho_t, 0, d))) < 1e-12
 
 
 def _pipeline_gaps(n, gamma, kt, a, b, times):
