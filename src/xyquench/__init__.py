@@ -11,9 +11,6 @@ diagonalizes small rings densely to validate the whole pipeline.
 
 from .lattice import ChainConfig, Mode, dispersion, mode_grid
 from .correlations import (
-    contraction_aa,
-    contraction_ba,
-    contraction_bb,
     contraction_table,
     correlator_xx,
     correlator_yy,
@@ -38,9 +35,6 @@ __all__ = [
     "mode_grid",
     "mode_blocks",
     "contraction_table",
-    "contraction_ba",
-    "contraction_aa",
-    "contraction_bb",
     "magnetization_z",
     "pfaffian",
     "correlator_xx",

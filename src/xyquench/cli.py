@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -167,11 +167,12 @@ def run_timeseries(spec: RunSpec):
         window = [float(t) for t in np.linspace(spec.time_average, 2.0 * spec.time_average,
                                                 AVERAGE_SAMPLES)]
     points = times + [math.inf] + window
-    values = _evaluate([config] * len(points), spec.offset, points, spec.workers)
+    configs = [config] * len(points)
+    values = _evaluate(configs, spec.offset, points, spec.workers)
     rows = [[t] + list(vals) for t, vals in zip(times + [math.inf], values)]
     if window:
         rows.append(["avg"] + list(np.mean(np.asarray(values[len(times) + 1 :]), axis=0)))
-    _convergence_check(spec, [(spec.field_a, spec.field_b, t) for t in times])
+    _convergence_check(spec, configs, points, values, range(min(CONVERGENCE_SAMPLES, len(times))))
     return columns, rows, 0
 
 
@@ -179,16 +180,15 @@ def run_surface(spec: RunSpec):
     columns = ["a", "b", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
     configs = [_chain(spec, float(a), float(b)) for a in grid for b in grid]
-    values = _evaluate(configs, spec.offset, [math.inf] * len(configs), spec.workers)
+    times = [math.inf] * len(configs)
+    values = _evaluate(configs, spec.offset, times, spec.workers)
     rows = [
         [cfg.field_before, cfg.field_after, vals[4], vals[5]]
         for cfg, vals in zip(configs, values)
     ]
-    samples = [
-        (float(grid[i % len(grid)]), float(grid[(i * 7) % len(grid)]), math.inf)
-        for i in range(CONVERGENCE_SAMPLES)
-    ]
-    _convergence_check(spec, samples)
+    size = len(grid)  # samples: (grid[i], grid[7 i]) mod size, as row-major indices
+    samples = [(i % size) * size + (i * 7) % size for i in range(CONVERGENCE_SAMPLES)]
+    _convergence_check(spec, configs, times, values, samples)
     return columns, rows, 0
 
 
@@ -211,9 +211,10 @@ def run_oracle_compare(spec: RunSpec):
         config = _chain(spec, spec.field_a, spec.field_b, n_sites=n)
         oracle = quench_series(n, spec.gamma, spec.kt, spec.field_a, spec.field_b,
                                times, d=spec.offset)
+        values = _evaluate([config] * len(times), spec.offset, times, spec.workers)
         err = 0.0
-        for t, (mz_ed, sx_ed, sy_ed, sz_ed, rho_pair) in zip(times, oracle):
-            mz, sx, sy, sz, c, _ = pair_observables(config, spec.offset, t)
+        for t, (mz, sx, sy, sz, c, _), (mz_ed, sx_ed, sy_ed, sz_ed, rho_pair) in zip(
+                times, values, oracle):
             c_ed = concurrence_general(rho_pair)
             rows.append([n, t, mz, mz_ed, sx, sx_ed, sy, sy_ed, sz, sz_ed, c, c_ed])
             err = max(err, abs(c - c_ed))
@@ -225,14 +226,11 @@ def run_oracle_compare(spec: RunSpec):
     return columns, rows, 0 if ok else 3
 
 
-def _convergence_check(spec: RunSpec, samples):
-    """Recompute C at doubled N on a few sampled points; warn if it moved."""
-    samples = samples[:CONVERGENCE_SAMPLES]
-    times = [t for _, _, t in samples]
-    base = _evaluate([_chain(spec, a, b) for a, b, _ in samples], spec.offset, times)
-    doubled = _evaluate([_chain(spec, a, b, n_sites=2 * spec.n_sites) for a, b, _ in samples],
-                        spec.offset, times)
-    worst = max(abs(x[4] - y[4]) for x, y in zip(base, doubled))
+def _convergence_check(spec: RunSpec, configs, times, values, samples):
+    """Evaluate the run's points at the indices samples again at doubled N; warn if C moved."""
+    doubled = _evaluate([replace(configs[i], n_sites=2 * spec.n_sites) for i in samples],
+                        spec.offset, [times[i] for i in samples])
+    worst = max(abs(values[i][4] - y[4]) for i, y in zip(samples, doubled))
     if worst > CONVERGENCE_TOL:
         print(
             f"warning: concurrence shifts by {worst:.2e} when N doubles from "

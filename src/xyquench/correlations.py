@@ -211,6 +211,13 @@ def _trig_table(n_sites: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+def _sums(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # A stack of (1 x modes) @ (modes x offsets) products, one per point: the
+    # same BLAS call for every batch size, so a point's sums do not depend on
+    # the batch it is in.
+    return np.matmul(x[:, None, :], table)[:, 0]
+
+
 def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, S and I at offsets 0..d_max, as (points x offsets) arrays.
 
@@ -221,62 +228,20 @@ def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np
     population, re, im = _blocks(configs, times)
     n = configs[0].n_sites
     cos, sin = _trig_table(n, d_max)
-
-    def sums(x, table):
-        # A stack of (1 x modes) @ (modes x offsets) products, one per point:
-        # the same BLAS call for every batch size, so a point's sums do not
-        # depend on the batch it is in.
-        return np.matmul(x[:, None, :], table)[:, 0]
-
-    return 2.0 * sums(population, cos) / n, 4.0 * sums(im, sin) / n, -4.0 * sums(re, sin) / n
-
-
-def _check_offset(config: ChainConfig, d: int):
-    if not -config.n_sites < d < config.n_sites:
-        raise ValueError(f"offset {d} outside the ring of {config.n_sites} sites")
-
-
-def contraction_ba(config, d: int, t):
-    """<B_l A_{l+d}> at time t (math.inf for the dephased limit).
-
-    Negative d is allowed; only the sin-weighted half changes sign.
-    """
-    configs, times, single = _points(config, t)
-    _check_offset(configs[0], d)
-    c, s, _ = _offset_sums(configs, times, abs(d))
-    ba = c[:, abs(d)] + np.sign(d) * s[:, abs(d)]
-    return float(ba[0]) if single else ba
-
-
-def _same_kind(config, d: int, t, diagonal: float):
-    configs, times, single = _points(config, t)
-    _check_offset(configs[0], d)
-    out = np.full(len(configs), diagonal if d == 0 else 0.0, dtype=complex)
-    out.imag = np.sign(d) * _offset_sums(configs, times, abs(d))[2][:, abs(d)]
-    return complex(out[0]) if single else out
-
-
-def contraction_aa(config, d: int, t):
-    """<A_l A_{l+d}>: delta_{d0} plus a purely imaginary quench part.
-
-    The real part is the plain mode count (1/N) sum_k e^{i d phi_k} over the
-    full N-point grid, which vanishes exactly for 0 < |d| < N; summing the
-    cosine over only the N/2 paired modes would leave a spurious
-    ((-1)^d - 1)/N offset that breaks the anticommutator {A_l, A_m} = 2 delta_lm.
-    """
-    return _same_kind(config, d, t, 1.0)
-
-
-def contraction_bb(config, d: int, t):
-    """<B_l B_{l+d}>: -delta_{d0} plus the same imaginary part as contraction_aa."""
-    return _same_kind(config, d, t, -1.0)
+    return 2.0 * _sums(population, cos) / n, 4.0 * _sums(im, sin) / n, -4.0 * _sums(re, sin) / n
 
 
 def magnetization_z(config, t):
     """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2."""
     configs, times, single = _points(config, t)
-    mz = 0.5 * _offset_sums(configs, times, 0)[0][:, 0]
+    population, n = _blocks(configs, times)[0], configs[0].n_sites
+    mz = 0.5 * (2.0 * _sums(population, _trig_table(n, 0)[0]) / n)[:, 0]
     return float(mz[0]) if single else mz
+
+
+def _check_offset(config: ChainConfig, d_max: int):
+    if not 0 <= d_max < config.n_sites:
+        raise ValueError(f"offset {d_max} outside the ring of {config.n_sites} sites")
 
 
 @lru_cache(maxsize=4)
@@ -288,12 +253,18 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
     stack.  The array is cached and read-only.
     """
     configs, times, single = _points(config, t)
+    _check_offset(configs[0], d_max)
     site = np.arange(d_max + 1)
     c, s, im = _offset_sums(configs, times, d_max)
     offset = site[None, :] - site[:, None]
     k, sign = np.abs(offset), np.sign(offset)
     gamma = np.empty((len(configs), d_max + 1, 2, d_max + 1, 2), dtype=complex)
-    gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]  # <A_s A_s'>, <B_s B_s'>
+    # <A_s A_s'> = <B_s B_s'> = i sign(d) I[|d|] off the diagonal.  Their real
+    # part, +-delta_{d0}, is the plain mode count (1/N) sum_k e^{i d phi_k} over
+    # the full N-point grid, which vanishes exactly for 0 < |d| < N; summing the
+    # cosine over only the N/2 paired modes would leave a spurious
+    # ((-1)^d - 1)/N that breaks the anticommutator {A_l, A_m} = 2 delta_lm.
+    gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]
     gamma[:, :, 0, :, 1] = sign * s[:, k] - c[:, k]  # <A_s B_s'>
     gamma[:, :, 1, :, 0] = sign * s[:, k] + c[:, k]  # <B_s A_s'>
     gamma = gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2)

@@ -102,19 +102,13 @@ def two_site_state(mz: float, sx: float, sy: float, sz: float) -> TwoSiteState:
 
 
 def concurrence_x(state: TwoSiteState) -> float:
-    """Wootters concurrence of an X state from its closed-form singular values."""
+    """Wootters concurrence of an X state in closed form (Yu & Eberly, QIC 7, 459 (2007)).
+
+    C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)).
+    """
     root_outer = math.sqrt(max(state.rho11 * state.rho44, 0.0))
     root_inner = math.sqrt(max(state.rho22 * state.rho33, 0.0))
-    lam = sorted(
-        (
-            root_outer + abs(state.rho14),
-            abs(root_outer - abs(state.rho14)),
-            root_inner + abs(state.rho23),
-            abs(root_inner - abs(state.rho23)),
-        ),
-        reverse=True,
-    )
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return 2.0 * max(0.0, abs(state.rho14) - root_inner, abs(state.rho23) - root_outer)
 
 
 def concurrence_general(rho: np.ndarray) -> float:

@@ -138,7 +138,11 @@ def test_timeseries_csv_layout(tmp_path):
 def test_timeseries_warns_when_unconverged(tmp_path, capsys):
     code = main(["timeseries", *TINY, *QUENCH, "--out", str(tmp_path / "o.csv")])
     assert code == 0
-    assert "when N doubles" in capsys.readouterr().err
+    # The alarm's value is max |C(2N) - C(N)| over the first 5 times.
+    shift = max(abs(pair_observables(ChainConfig(16, 1.0, 0.5, 1.001, 0.5), 1, t)[4]
+                    - pair_observables(ChainConfig(8, 1.0, 0.5, 1.001, 0.5), 1, t)[4])
+                for t in np.linspace(0.0, 1.0, 3)[:5])
+    assert f"concurrence shifts by {shift:.2e} when N doubles" in capsys.readouterr().err
 
 
 def test_timeseries_without_quench_is_constant(tmp_path):
@@ -286,10 +290,12 @@ def test_first_invalid_point_of_a_batch_is_named(chunk):
 
 # 5 points per chunk at N = 32 and 2 at N = 64.  The surface's 16 points take
 # 4 chunks and the time series' 10 (9 times and inf) take 2; the doubled-N
-# check adds 1 chunk at N = 32 and 3 at N = 64 for its 5 samples.
+# check reuses the run's rows at N and adds 3 chunks at N = 64 for its 5
+# samples.  oracle-compare takes each ring's 3 times as one chunk.
 @pytest.mark.parametrize("argv, chunks", [
-    (["surface", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"], 4 + 1 + 3),
-    (["timeseries", "--t-steps", "9", *QUENCH], 2 + 1 + 3),
+    (["surface", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"], 4 + 3),
+    (["timeseries", "--t-steps", "9", *QUENCH], 2 + 3),
+    (["oracle-compare", *QUENCH, "--n-list", "6,8", "--t-end", "2.0", "--t-steps", "3"], 2),
 ])
 def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, argv, chunks):
     # Each chunk makes one call per correlator to the Pfaffian and to the

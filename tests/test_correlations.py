@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from xyquench.correlations import (
-    contraction_aa,
-    contraction_ba,
-    contraction_bb,
     contraction_table,
     correlator_xx,
     correlator_yy,
@@ -128,7 +125,8 @@ def test_contractions_are_sums_over_mode_states():
     # Ties production to the spectral oracle of `dynamics`: mode_blocks holds
     # each mode's rho22 - rho11 and rho12, and
     # <B_l A_{l+d}> = (1/N) sum_p [2(rho22 - rho11) cos(d phi) + 4 Im rho12 sin(d phi)]
-    # and Im <A_l A_{l+d}> = -(4/N) sum_p Re rho12 sin(d phi).
+    # and Im <A_l A_{l+d}> = -(4/N) sum_p Re rho12 sin(d phi), read from Gamma
+    # with l = max(0, -d).
     rng = np.random.default_rng(17)
     configs = [_random_config(rng) for _ in range(30)]
     # The last config is at kT = 0 with Lambda(a) = 1e-6 on its phi = pi mode: a
@@ -149,13 +147,15 @@ def test_contractions_are_sums_over_mode_states():
             assert np.array_equal(batch.coherence[i], blocks.coherence)
             assert np.max(np.abs(blocks.population - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
             assert np.max(np.abs(blocks.coherence - rho[:, 0, 1])) < 1e-13
+            gamma = contraction_table(c, t, 3)
             for d in range(-3, 4):
+                l, m = max(0, -d), max(0, d)
                 cos_d, sin_d = np.cos(d * phi), np.sin(d * phi)
                 ba = np.sum(2.0 * (rho[:, 1, 1] - rho[:, 0, 0]).real * cos_d
                             + 4.0 * rho[:, 0, 1].imag * sin_d) / c.n_sites
                 aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
-                assert abs(contraction_ba(c, d, t) - ba) < 1e-13
-                assert abs(contraction_aa(c, d, t).imag - aa) < 1e-13
+                assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
+                assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
 
 
 def test_batches_take_matching_points_of_one_ring_size():
@@ -175,38 +175,34 @@ def test_magnetization_is_half_ba_zero():
     for _ in range(20):
         c = _random_config(rng)
         for t in (0.0, float(rng.uniform(0, 20)), math.inf):
-            assert abs(magnetization_z(c, t) - 0.5 * contraction_ba(c, 0, t)) < 1e-12
+            assert abs(magnetization_z(c, t) - 0.5 * contraction_table(c, t, 0)[1, 0].real) < 1e-12
 
 
-def test_same_kind_contractions_at_zero_offset():
+def test_aa_and_bb_contractions_are_odd_off_diagonal():
+    # Gamma[0, 2d] = <A_0 A_d> and Gamma[2d, 0] = <A_d A_0> = <A_0 A_{-d}>.
     c = ChainConfig(12, 0.8, 0.3, 1.5, 0.5)
-    assert contraction_aa(c, 0, 2.0) == 1.0 + 0.0j
-    assert contraction_bb(c, 0, 2.0) == -1.0 + 0.0j
-
-
-def test_same_kind_contractions_are_odd_off_diagonal():
-    c = ChainConfig(12, 0.8, 0.3, 1.5, 0.5)
+    gamma = contraction_table(c, 3.1, 11)
     for d in (1, 2, 5, 11):
-        aa = contraction_aa(c, d, 3.1)
+        aa = gamma[0, 2 * d]
         assert aa.real == 0.0
-        assert aa + contraction_aa(c, -d, 3.1) == 0.0 + 0.0j
-        assert contraction_bb(c, d, 3.1).imag == aa.imag
+        assert aa + gamma[2 * d, 0] == 0.0 + 0.0j
+        assert gamma[1, 2 * d + 1].imag == aa.imag
 
 
 def test_contraction_offset_bounds():
     c = ChainConfig(8, 1.0, 0.0, 1.0, 0.5)
-    for bad in (8, -8, 11):
+    for bad in (8, -1, 11):
         with pytest.raises(ValueError):
-            contraction_ba(c, bad, 1.0)
-        with pytest.raises(ValueError):
-            contraction_aa(c, bad, 1.0)
+            contraction_table(c, 1.0, bad)
+    assert contraction_table(c, 1.0, 7).shape == (16, 16)
 
 
 def test_infinite_temperature_kills_everything():
     c = ChainConfig(16, 1.0, 1e9, 1.2, 0.4)
+    gamma = contraction_table(c, 3.0, 1)
     assert abs(magnetization_z(c, 3.0)) < 1e-6
-    assert abs(contraction_ba(c, 1, 3.0)) < 1e-6
-    assert abs(contraction_aa(c, 1, 3.0).imag) < 1e-6
+    assert abs(gamma[1, 2]) < 1e-6
+    assert abs(gamma[0, 2].imag) < 1e-6
     assert abs(correlator_xx(c, 2, 3.0)) < 1e-6
 
 
@@ -245,8 +241,9 @@ def test_nearest_neighbor_strings_reduce_to_single_contractions():
     for _ in range(10):
         c = _random_config(rng)
         t = float(rng.uniform(0, 10))
-        assert correlator_xx(c, 1, t) == pytest.approx(0.25 * contraction_ba(c, 1, t), abs=1e-14)
-        assert correlator_yy(c, 1, t) == pytest.approx(0.25 * contraction_ba(c, -1, t), abs=1e-14)
+        gamma = contraction_table(c, t, 1)  # <B_0 A_1> and <B_1 A_0>
+        assert correlator_xx(c, 1, t) == pytest.approx(0.25 * gamma[1, 2].real, abs=1e-14)
+        assert correlator_yy(c, 1, t) == pytest.approx(0.25 * gamma[3, 0].real, abs=1e-14)
 
 
 def test_correlator_distance_validation():
@@ -262,8 +259,10 @@ def test_correlator_distance_validation():
 def test_ring_periodicity_of_ba_and_zz():
     c = ChainConfig(12, 0.9, 0.2, 1.4, 0.6)
     t = 2.7
+    gamma = contraction_table(c, t, 11)
     for d in range(1, 6):
-        assert contraction_ba(c, 12 - d, t) == pytest.approx(contraction_ba(c, -d, t), abs=1e-10)
+        # <B_0 A_{12-d}> against <B_d A_0>
+        assert gamma[1, 2 * (12 - d)] == pytest.approx(gamma[2 * d + 1, 0], abs=1e-10)
         assert correlator_zz(c, 12 - d, t) == pytest.approx(correlator_zz(c, d, t), abs=1e-10)
 
 
@@ -281,19 +280,21 @@ def test_ring_periodicity_of_xx_and_yy():
 
 def test_contraction_table_matches_direct_functions():
     # Gamma is over (A_0, B_0, ..., A_3, B_3): A_s is row 2s and B_s row 2s + 1.
+    # Each entry depends on the offset d = s2 - s only: it equals the entry of
+    # the table that reaches offset d alone, and <B_s A_s> = 2 M_z.
     c = ChainConfig(10, 1.1, 0.4, 0.9, 1.7)
     t = 4.2
     gamma = contraction_table(c, t, 3)
     assert gamma.shape == (8, 8)
     assert np.array_equal(gamma, -gamma.T)
+    assert np.all(np.diag(gamma) == 0.0)
     for s in range(4):
-        assert gamma[2 * s, 2 * s + 1] == pytest.approx(-contraction_ba(c, 0, t), abs=1e-15)
+        assert gamma[2 * s, 2 * s + 1] == pytest.approx(-2.0 * magnetization_z(c, t), abs=1e-15)
         for s2 in range(s + 1, 4):
             d = s2 - s
-            assert gamma[2 * s + 1, 2 * s2] == pytest.approx(contraction_ba(c, d, t), abs=1e-15)
-            assert gamma[2 * s, 2 * s2 + 1] == pytest.approx(-contraction_ba(c, -d, t), abs=1e-15)
-            assert gamma[2 * s, 2 * s2] == pytest.approx(contraction_aa(c, d, t), abs=1e-15)
-            assert gamma[2 * s + 1, 2 * s2 + 1] == pytest.approx(contraction_bb(c, d, t), abs=1e-15)
+            alone = contraction_table(c, t, d)
+            for i, j in ((1, 2 * d), (0, 2 * d + 1), (0, 2 * d), (1, 2 * d + 1)):
+                assert gamma[2 * s + i, 2 * s + j] == pytest.approx(alone[i, j], abs=1e-15)
 
 
 def test_quench_tracks_exact_diagonalization():

@@ -1,4 +1,4 @@
-"""Import hygiene: what the command line loads, and no unused imports."""
+"""Import hygiene: what the command line loads, no unused imports, no orphaned helpers."""
 
 import ast
 import os
@@ -25,6 +25,21 @@ def _unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def _unread_private_names(source: str) -> list:
+    """Module-level private names (_x, not dunders) that the module never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
+
+
 def test_cli_import_leaves_the_oracles_out():
     # No scipy module at all: the ED oracle is numpy only and dynamics loads
     # scipy.integrate, which the command line never needs.
@@ -42,4 +57,12 @@ def test_no_unused_imports():
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted(TESTS.glob("*.py"))
     found = {p.name: names for p in files if (names := _unused_imports(p.read_text()))}
+    assert found == {}
+
+
+def test_private_names_are_read_in_their_module():
+    source = "_a = 1\n_b, c = _a, 2\ndef _f():\n    _g = 3\nclass _K: pass\n__all__ = []\n"
+    assert _unread_private_names(source) == ["_K", "_b", "_f"]
+    found = {p.name: names for p in sorted(SRC.glob("*.py"))
+             if (names := _unread_private_names(p.read_text()))}
     assert found == {}
