@@ -1,13 +1,16 @@
 """Command-line driver: time series, quench surfaces, equilibrium sweeps, oracle checks.
 
-Four subcommands share one flag set:
-
     xy-quench timeseries      observables of one site pair on a time grid
     xy-quench surface         asymptotic concurrence over an (a, b) field grid
     xy-quench equilibrium     static observables swept over a = b = h
     xy-quench oracle-compare  pipeline vs exact diagonalization on small rings
 
-Values may also come from a flat ``key = value`` config file (--config);
+Each takes only the flags it reads (FLAGS).  All take --gamma --kt --offset
+--format --out --workers --config; timeseries adds --n-sites --field-a
+--field-b --t-start --t-end --t-steps --time-average, surface and equilibrium
+add --n-sites --grid-min --grid-max --grid-steps, and oracle-compare adds
+--field-a --field-b --t-start --t-end --t-steps --n-list.  A flat
+``key = value`` config file (--config) may set the subcommand's own flags;
 explicit flags win over the file, the file wins over defaults, and the
 effective configuration is echoed into the output metadata.  Exit codes:
 0 success, 1 invalid input, 2 numerical failure, 3 oracle schedule violation.
@@ -30,7 +33,15 @@ from .entanglement import concurrence_general, concurrence_x, entanglement_of_fo
 from .errors import NumericalError, at_point
 from .lattice import ChainConfig
 
-COMMANDS = ("timeseries", "surface", "equilibrium", "oracle-compare")
+# The RunSpec fields each subcommand reads: its flags (--n-sites for
+# n_sites), its config-file keys and its metadata lines.
+_COMMON = "gamma kt offset format out workers config"
+FLAGS = {
+    "timeseries": f"{_COMMON} n_sites field_a field_b t_start t_end t_steps time_average".split(),
+    "surface": f"{_COMMON} n_sites grid_min grid_max grid_steps".split(),
+    "equilibrium": f"{_COMMON} n_sites grid_min grid_max grid_steps".split(),
+    "oracle-compare": f"{_COMMON} field_a field_b t_start t_end t_steps n_list".split(),
+}
 
 # Tolerance of the doubled-size self-check run after surface/timeseries.
 CONVERGENCE_TOL = 1e-4
@@ -60,15 +71,15 @@ class RunSpec:
     grid_min: float = 0.0
     grid_max: float = 3.0
     grid_steps: int = 31
-    fmt: str = "csv"
+    format: str = "csv"
     out: str | None = None
     workers: int = 1
     time_average: float | None = None
     n_list: tuple = (6, 8, 10)
-    config_path: str | None = None
+    config: str | None = None
 
     def validate(self):
-        if self.command not in COMMANDS:
+        if self.command not in FLAGS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.n_sites < 4 or self.n_sites % 2:
             raise ValueError(f"--n-sites must be even and >= 4, got {self.n_sites}")
@@ -86,8 +97,8 @@ class RunSpec:
             raise ValueError(f"--grid-steps must be >= 1, got {self.grid_steps}")
         if self.grid_max < self.grid_min:
             raise ValueError(f"bad field grid [{self.grid_min}, {self.grid_max}]")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"--format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"--format must be csv or json, got {self.format!r}")
         if self.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {self.workers}")
         if self.time_average is not None and self.time_average <= 0:
@@ -149,13 +160,7 @@ def _evaluate(configs: list, d: int, times: list, workers: int = 1) -> list:
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
-    return ChainConfig(
-        n_sites=n_sites or spec.n_sites,
-        gamma=spec.gamma,
-        kt=spec.kt,
-        field_before=a,
-        field_after=b,
-    )
+    return ChainConfig(n_sites or spec.n_sites, spec.gamma, spec.kt, a, b)
 
 
 def run_timeseries(spec: RunSpec):
@@ -239,20 +244,16 @@ def _convergence_check(spec: RunSpec, configs, times, values, samples):
         )
 
 
-def _meta_items(spec: RunSpec, columns):
+def _meta_items(spec: RunSpec):
+    """The command and each field it reads, config only when given."""
     items = [("command", spec.command)]
-    skip = {"command", "config_path"}
     for f in fields(spec):
-        if f.name in skip:
-            continue
         value = getattr(spec, f.name)
+        if f.name not in FLAGS[spec.command] or (f.name == "config" and value is None):
+            continue
         if f.name == "n_list":
             value = ",".join(str(n) for n in value)
-        key = {"fmt": "format"}.get(f.name, f.name.replace("_", "-"))
-        items.append((key, "none" if value is None else value))
-    if spec.config_path:
-        items.append(("config", spec.config_path))
-    items.append(("columns", columns))
+        items.append((f.name.replace("_", "-"), "none" if value is None else value))
     return items
 
 
@@ -268,9 +269,7 @@ def _cell(value):
 
 
 def _write_csv(fh, spec, columns, rows):
-    for key, value in _meta_items(spec, columns):
-        if key == "columns":
-            continue
+    for key, value in _meta_items(spec):
         fh.write(f"# {key} = {value}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
@@ -278,13 +277,13 @@ def _write_csv(fh, spec, columns, rows):
 
 
 def _write_json(fh, spec, columns, rows):
-    meta = {k: v for k, v in _meta_items(spec, columns)}
+    meta = dict(_meta_items(spec), columns=columns)
     json.dump({"meta": meta, "rows": [[_cell(v) for v in row] for row in rows]}, fh, indent=1)
     fh.write("\n")
 
 
 def _write_output(spec: RunSpec, columns, rows):
-    writer = _write_csv if spec.fmt == "csv" else _write_json
+    writer = _write_csv if spec.format == "csv" else _write_json
     if spec.out:
         with open(spec.out, "w") as fh:
             writer(fh, spec, columns, rows)
@@ -309,30 +308,18 @@ def _int_list(text: str) -> tuple:
 
 
 def _build_parser() -> tuple[_Parser, dict]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name, with the flags of FLAGS."""
+    # Flag types, where the field's default does not show it.
+    types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
     parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in COMMANDS:
+    for name, read in FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n-sites", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--kt", type=float)
-        p.add_argument("--field-a", type=float)
-        p.add_argument("--field-b", type=float)
-        p.add_argument("--offset", type=int)
-        p.add_argument("--t-start", type=float)
-        p.add_argument("--t-end", type=float)
-        p.add_argument("--t-steps", type=int)
-        p.add_argument("--grid-min", type=float)
-        p.add_argument("--grid-max", type=float)
-        p.add_argument("--grid-steps", type=int)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        p.add_argument("--out")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--time-average", type=float)
-        p.add_argument("--config")
+        for f in fields(RunSpec):
+            if f.name in read:
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               type=types.get(f.name, type(f.default)))
         if name == "oracle-compare":
-            p.add_argument("--n-list", type=_int_list)
             p.set_defaults(t_end=5.0, t_steps=6)
     return parser, sub.choices
 
@@ -340,7 +327,6 @@ def _build_parser() -> tuple[_Parser, dict]:
 def _load_config_file(path: str, keys) -> dict:
     """Flat ``key = value`` file; keys match the long flag names sans dashes."""
     aliases = {key.replace("_", ""): key for key in keys}
-    aliases["format"] = "fmt"
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -369,9 +355,7 @@ def build_spec(argv=None) -> RunSpec:
         keys = set(vars(args)) - {"command", "config"}
         commands[args.command].set_defaults(**_load_config_file(args.config, keys))
         args = parser.parse_args(argv)
-    values = vars(args)
-    values["config_path"] = values.pop("config")
-    spec = RunSpec(**{key: value for key, value in values.items() if value is not None})
+    spec = RunSpec(**{key: value for key, value in vars(args).items() if value is not None})
     spec.validate()
     return spec
 
@@ -387,15 +371,11 @@ _RUNNERS = {
 def main(argv=None) -> int:
     try:
         spec = build_spec(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         columns, rows, code = _RUNNERS[spec.command](spec)
         _write_output(spec, columns, rows)
         return code
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

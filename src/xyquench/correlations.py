@@ -93,11 +93,17 @@ class _Factors(NamedTuple):
     i1: np.ndarray
 
 
+@lru_cache(maxsize=1)
+def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phi_p) and delta_p for one batch; _blocks clears it when the batch is done."""
+    phi, delta = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
+    return np.cos(phi), delta
+
+
 @lru_cache(maxsize=2)
 def _factors(config: ChainConfig) -> _Factors:
-    phi, delta = grid_arrays(config)
+    cos, delta = _grid(config.n_sites, config.gamma)
     a, b = config.field_before, config.field_after
-    cos = np.cos(phi)
     x_a, x_b = cos + a, cos + b
     lam_a = np.hypot(x_a, 0.5 * delta)
     lam_b = np.hypot(x_b, 0.5 * delta)
@@ -197,6 +203,7 @@ def _blocks(configs: tuple, times: tuple) -> tuple[np.ndarray, np.ndarray, np.nd
         np.multiply(f.r1, v, out=re[rows])
         np.multiply(f.i1, w, out=im[rows])
         im[rows] += f.i0
+    _grid.cache_clear()
     for arr in (population, re, im):
         arr.flags.writeable = False
     return population, re, im

@@ -134,11 +134,14 @@ def concurrence_general(rho: np.ndarray) -> float:
 
 
 def entanglement_of_formation(c: float) -> float:
-    """Entanglement of formation as the usual binary-entropy function of C."""
+    """Entanglement of formation -x log2 x - y log2 y, x = (1 + sqrt(1 - C^2))/2.
+
+    Forming y = 1 - x as C^2 / (2 (1 + sqrt(1 - C^2))) and x log x through
+    log1p(-y) avoids the cancellation of 1 - x at small C."""
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise ValueError(f"concurrence {c!r} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
-    x = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
-    if x in (0.0, 1.0):
+    y = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    if y == 0.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -(1.0 - y) * math.log1p(-y) / math.log(2.0) - y * math.log2(y)

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +55,57 @@ def test_config_file_between_flags_and_defaults(tmp_path):
     spec = build_spec(["timeseries", "--config", str(cfg), "--field-a", "0.5"])
     assert spec.n_sites == 8  # file beats default
     assert spec.field_a == 0.5  # flag beats file
-    assert spec.fmt == "json"
+    assert spec.format == "json"
     assert spec.gamma == 1.0  # untouched default
-    assert spec.config_path == str(cfg)
+    assert spec.config == str(cfg)
+
+
+# The flags each subcommand reads besides --gamma --kt --offset --format --out
+# --workers --config, and a small run of it.
+FLAG_SETS = {
+    "timeseries": ("n-sites field-a field-b t-start t-end t-steps time-average",
+                   ["--n-sites", "8", "--t-steps", "2", "--t-end", "1.0"]),
+    "surface": ("n-sites grid-min grid-max grid-steps",
+                ["--n-sites", "32", "--grid-steps", "2", "--grid-min", "0.5", "--grid-max", "1.5"]),
+    "equilibrium": ("n-sites grid-min grid-max grid-steps",
+                    ["--n-sites", "32", "--grid-steps", "2", "--grid-min", "0.5", "--grid-max", "1.5"]),
+    "oracle-compare": ("field-a field-b t-start t-end t-steps n-list",
+                       [*QUENCH, "--n-list", "6,8", "--t-end", "2.0", "--t-steps", "3"]),
+}
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("surface", "field-a"), ("equilibrium", "t-end"), ("timeseries", "grid-steps"),
+    ("oracle-compare", "n-sites"),
+])
+def test_subcommands_take_and_echo_only_their_flags(tmp_path, capsys, command, unread):
+    flags, argv = FLAG_SETS[command]
+    assert main([command, f"--{unread}", "2"]) == 1
+    assert f"unrecognized arguments: --{unread}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{unread} = 2\n")  # another subcommand's key
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "unknown key" in capsys.readouterr().err
+    cfg.write_text("kt = 0.5\n")
+    out = tmp_path / "o.json"
+    assert main([command, *argv, "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["kt"] == 0.5
+    common = "gamma kt offset format out workers config".split()
+    assert sorted(meta) == sorted(["command", "columns", *common, *flags.split()])
+
+
+def test_readme_command_lines_parse(tmp_path):
+    # Every example of the README's command-line section is a valid request.
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Command line", 1)[1]
+    examples, config = re.findall(r"```\n(.*?)```", section, re.S)[:2]
+    commands = [line.split()[1:] for line in examples.splitlines() if line.startswith("xy-quench ")]
+    assert [argv[0] for argv in commands] == list(FLAG_SETS)
+    for argv in commands:
+        build_spec(argv)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert build_spec(["timeseries", "--config", str(cfg)]).config == str(cfg)
 
 
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
@@ -293,8 +343,9 @@ def test_first_invalid_point_of_a_batch_is_named(chunk):
 # check reuses the run's rows at N and adds 3 chunks at N = 64 for its 5
 # samples.  oracle-compare takes each ring's 3 times as one chunk.
 @pytest.mark.parametrize("argv, chunks", [
-    (["surface", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"], 4 + 3),
-    (["timeseries", "--t-steps", "9", *QUENCH], 2 + 3),
+    (["surface", "--n-sites", "32", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"],
+     4 + 3),
+    (["timeseries", "--n-sites", "32", "--t-steps", "9", *QUENCH], 2 + 3),
     (["oracle-compare", *QUENCH, "--n-list", "6,8", "--t-end", "2.0", "--t-steps", "3"], 2),
 ])
 def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, argv, chunks):
@@ -307,7 +358,7 @@ def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, argv, chun
             return _fn(*args)
         monkeypatch.setattr(correlations, name, counted)
     monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 80)
-    assert main([*argv, "--n-sites", "32", "--kt", "0.5", "--out", str(tmp_path / "o.csv")]) == 0
+    assert main([*argv, "--kt", "0.5", "--out", str(tmp_path / "o.csv")]) == 0
     assert calls == {"pfaffian": 3 * chunks, "contraction_table": 3 * chunks}
 
 

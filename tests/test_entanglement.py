@@ -1,6 +1,7 @@
 """X-state assembly, concurrence (both routes), and entanglement of formation."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_entanglement_of_formation_endpoints():
 
 def test_entanglement_of_formation_frozen_value():
     assert entanglement_of_formation(0.5) == pytest.approx(0.35457890266527003, abs=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 1e-3, 0.019])
+def test_entanglement_of_formation_small_concurrence_is_accurate(c):
+    # Reference in 60-digit decimal arithmetic on the same float C.  Forming
+    # 1 - x by subtraction loses digits as C -> 0, all of them at C = 1e-8.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = (1 - (1 - Decimal(c) ** 2).sqrt()) / 2
+        x = 1 - y
+        reference = float(-(x * x.ln() + y * y.ln()) / Decimal(2).ln())
+    assert entanglement_of_formation(c) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_entanglement_of_formation_monotone():
