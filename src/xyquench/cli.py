@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .correlations import correlator_xx, correlator_yy, correlator_zz, magnetization_z
+from .correlations import correlator_xx, correlator_yy, correlator_zz, factor_scope, magnetization_z
 from .ed import quench_series
 from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state
 from .errors import NumericalError, at_point
@@ -48,9 +48,10 @@ CONVERGENCE_TOL = 1e-4
 CONVERGENCE_SAMPLES = 5
 AVERAGE_SAMPLES = 200
 # Points x modes in one chunk of a batched evaluation: 4 times at N = 20000,
-# 40 points at N = 2000.  It bounds the chunk's (points x modes) arrays, three
-# of 8 bytes per element plus temporaries; at 60000 the peak RSS of a 61 x 61
-# surface at N = 2000 rose by 2%.
+# 40 points at N = 2000.  It bounds the chunk's (points x modes) arrays, the
+# (b, t) columns of correlations.mode_blocks at 8 bytes per element each: w
+# and x_b w, and v at finite t, plus the sin temporaries there; at 60000 the
+# peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
 CHUNK_ELEMENTS = 40000
 
 
@@ -134,9 +135,10 @@ def _observables(configs, d: int, times) -> list:
 def pair_observables(config: ChainConfig, d: int, t: float):
     """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at time t (inf allowed).
 
-    A NumericalError keeps its type and gains the point it happened at.
+    A NumericalError keeps its type and gains the point it happened at.  The
+    point is a run of its own: no factors are shared with earlier calls.
     """
-    return _observables((config,), d, (t,))[0]
+    return _evaluate([config], d, [t])[0]
 
 
 def _evaluate(configs: list, d: int, times: list, workers: int = 1) -> list:
@@ -144,19 +146,21 @@ def _evaluate(configs: list, d: int, times: list, workers: int = 1) -> list:
 
     The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one;
     the boundaries depend only on the point index and N, not on workers.
-    With workers > 1 the chunks are spread over worker processes.
+    With workers > 1 the chunks are spread over worker processes.  The chunks
+    share one factor_scope, so each field's mode factors are computed once
+    per run (once per worker process), and none outlive the call.
     """
     size = max(1, CHUNK_ELEMENTS // (configs[0].n_sites // 2))
     starts = range(0, len(configs), size)
     columns = ([configs[i : i + size] for i in starts], [d] * len(starts),
                [times[i : i + size] for i in starts])
-    if workers <= 1 or len(starts) <= 1:
-        chunks = map(_observables, *columns)
-    else:
+    with factor_scope():
+        if workers <= 1 or len(starts) <= 1:
+            return [row for chunk in map(_observables, *columns) for row in chunk]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_observables, *columns,
-                                   chunksize=max(1, len(starts) // (workers * 8))))
-    return [row for chunk in chunks for row in chunk]
+            chunks = pool.map(_observables, *columns,
+                              chunksize=max(1, len(starts) // (workers * 8)))
+            return [row for chunk in chunks for row in chunk]
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
@@ -311,6 +315,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     """The parser and its subcommand parsers by name, with the flags of FLAGS."""
     # Flag types, where the field's default does not show it.
     types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
+    helps = {"workers": "processes to spread the run's chunks over; oracle-compare "
+                        "evaluates each ring's times as one chunk, so it has no effect there"}
     parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, read in FLAGS.items():
@@ -318,7 +324,7 @@ def _build_parser() -> tuple[_Parser, dict]:
         for f in fields(RunSpec):
             if f.name in read:
                 p.add_argument("--" + f.name.replace("_", "-"),
-                               type=types.get(f.name, type(f.default)))
+                               type=types.get(f.name, type(f.default)), help=helps.get(f.name))
         if name == "oracle-compare":
             p.set_defaults(t_end=5.0, t_steps=6)
     return parser, sub.choices

@@ -7,7 +7,9 @@ the N/2 momentum modes: the cos- and sin-weighted halves C and S of <BA> and
 the imaginary part I shared by <AA> and <BB>.  The summands are the evolved
 per-mode states of mode_blocks, the package's one closed form for them
 (dynamics reaches the same states by diagonalization, as a test oracle).
-contraction_table arranges the sums
+Every factor of that form depends on the field a alone or on (b, t) alone,
+so the sums are taken as bilinear forms of per-a rows and per-(b, t)
+columns.  contraction_table arranges the sums
 into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
 and each spin-spin correlator is 1/4 times the Pfaffian of the rows and
 columns of Gamma that its operator string picks out (Wick's theorem for the
@@ -16,9 +18,10 @@ quadratic fermion problem).
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares.  A batch
-is evaluated as (points x modes) arrays and gives results with a leading
-points axis; one point is the batch of one and gives its entry.  Pass
-sequences to the cached contraction_table as tuples.
+is evaluated as (points x modes) arrays of its (b, t) columns and gives
+results with a leading points axis; one point is the batch of one and gives
+its entry.  Pass sequences to the cached contraction_table as tuples.  The
+batches evaluated inside one factor_scope share each field's mode factors.
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -28,6 +31,8 @@ initial value.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -79,64 +84,166 @@ class ModeBlocks(NamedTuple):
     coherence: np.ndarray  # rho12 = <vacuum| rho |pair>
 
 
-class _Factors(NamedTuple):
-    """The t-independent per-mode vectors of one config (see mode_blocks)."""
-
-    lam_b: np.ndarray
-    evolving: np.ndarray  # Lambda_b at or above SERIES_EPS
-    inv_lam_b: np.ndarray  # 1/Lambda_b on evolving modes, 0 elsewhere
-    w_inf: np.ndarray  # the dephased w
-    p0: np.ndarray
-    p1: np.ndarray
-    r1: np.ndarray
-    i0: np.ndarray
-    i1: np.ndarray
+# Each per-mode factor of the closed form (mode_blocks) depends on a alone
+# (_terms) or on (b, t) alone (_batch); only the scalar b - a couples them.
+# Both sides read Lambda(h), cached per field while a factor_scope lasts, so a
+# run over many (a, b) points computes one row of hypot per distinct field,
+# not two per point.
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(phi_p) and delta_p for one batch; _blocks clears it when the batch is done."""
+    """cos(phi_p) and delta_p, cached with the factors (see factor_scope)."""
     phi, delta = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
     return np.cos(phi), delta
 
 
-@lru_cache(maxsize=2)
-def _factors(config: ChainConfig) -> _Factors:
-    cos, delta = _grid(config.n_sites, config.gamma)
-    a, b = config.field_before, config.field_after
-    x_a, x_b = cos + a, cos + b
-    lam_a = np.hypot(x_a, 0.5 * delta)
-    lam_b = np.hypot(x_b, 0.5 * delta)
+def _read_only(*arrays):
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
+    return arrays
 
-    if config.kt == 0.0:
+
+@lru_cache(maxsize=None)
+def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
+    """Lambda(h) per mode, for a field before or after the quench alike."""
+    cos, delta = _grid(n_sites, gamma)
+    return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
+
+
+def _inverse(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1/Lambda into out on modes at or above SERIES_EPS, 0 on the frozen ones."""
+    evolving = lam >= SERIES_EPS
+    np.divide(1.0, lam, out=out, where=evolving)
+    out[~evolving] = 0.0
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rotation(n_sites: int, gamma: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda_b and its _inverse per mode: what a finite t reads of field b."""
+    lam = _dispersion(n_sites, gamma, b)
+    return _read_only(lam, _inverse(lam, np.empty_like(lam)))
+
+
+@lru_cache(maxsize=1)
+def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
+    """(head, scale, row) of rho22 - rho11, Im rho12 and Re rho12 at field a.
+
+    Each quantity is head + scale (b - a) row column per mode (mode_blocks),
+    with the weight W = tanh(Lambda_a/kT)/Lambda_a of the Gibbs state at a.
+    Only the last a is kept: a surface row or a time series meets its a in
+    one stretch of consecutive batches.
+    """
+    lam_a, (cos, delta) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
+    if kt == 0.0:
         # Exactly degenerate modes are uniform at kT = 0 and contribute
         # nothing; nearby modes stay finite because |x_a|, |delta|/2 <= Lambda_a.
         live = lam_a > DEGENERACY_EPS
         weight = np.where(live, 1.0 / np.where(live, lam_a, 1.0), 0.0)
     else:
-        arg = lam_a / config.kt
+        arg = lam_a / kt
         small = arg < 1e-6
         weight = np.empty_like(lam_a)
         np.divide(np.tanh(arg), lam_a, out=weight, where=~small)
-        weight[small] = (1.0 - arg[small] ** 2 / 3.0) / config.kt
-
-    evolving = lam_b >= SERIES_EPS
-    inv_lam_b = np.divide(1.0, lam_b, out=np.zeros_like(lam_b), where=evolving)
+        weight[small] = (1.0 - arg[small] ** 2 / 3.0) / kt
     wd = weight * delta
-    factors = _Factors(
-        lam_b=lam_b,
-        evolving=evolving,
-        inv_lam_b=inv_lam_b,
-        w_inf=0.5 * inv_lam_b**2,
-        p0=weight * x_a,
-        p1=0.5 * (b - a) * wd * delta,
-        r1=0.25 * (b - a) * wd,
-        i0=0.25 * wd,
-        i1=0.5 * (a - b) * wd * x_b,
-    )
-    for arr in factors:
-        arr.flags.writeable = False
-    return factors
+    head, wdd, quarter, wd = _read_only(weight * (cos + a), wd * delta, 0.25 * wd, wd)
+    return (head, 0.5, wdd), (quarter, -0.5, wd), (None, 0.25, wd)
+
+
+@lru_cache(maxsize=1)
+def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
+    """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
+
+    The tables are those of C, S and I: cos, sin and sin (see _offset_sums).
+    Only the last a is kept, as for _terms.
+    """
+    cos, sin = _trig_table(n_sites, d_max)
+    (head_c, scale_c, row_c), (head_s, scale_s, row_s), (_, scale_i, _) = _terms(n_sites, gamma, kt, a)
+    weighted_sin = (sin * row_s).T  # Im rho12 and Re rho12 share their row
+    return [(head_c @ cos.T, scale_c, (cos * row_c).T), (head_s @ sin.T, scale_s, weighted_sin),
+            (None, scale_i, weighted_sin)]
+
+
+def _runs(keys):
+    """(key, rows) per run of consecutive equal keys; rows is a slice."""
+    start = 0
+    for key, run in groupby(keys):
+        stop = start + sum(1 for _ in run)
+        yield key, slice(start, stop)
+        start = stop
+
+
+class _Batch(NamedTuple):
+    """A batch in the factorised form of mode_blocks."""
+
+    # (gamma, kT, a), rows, b - a per point as a column and _terms, per run
+    # of consecutive points that share (gamma, kT, a)
+    runs: list
+    # w, x_b w and v as (points x modes) arrays; v is None when every point is
+    # dephased, where v = 0
+    columns: tuple
+
+
+@lru_cache(maxsize=1)
+def _batch(configs: tuple, times: tuple) -> _Batch:
+    """The last batch is cached, so its contraction table and its magnetization share it."""
+    _batch.cache_clear()  # free the previous batch before allocating this one
+    n = configs[0].n_sites
+    cos = _grid(n, configs[0].gamma)[0]  # cos(phi_p) does not depend on gamma
+    w, xw = np.empty((2, len(configs), n // 2))
+    v = None if all(map(math.isinf, times)) else np.zeros_like(w)
+    for key, rows in _runs([None if math.isinf(t) else (c.gamma, c.field_after)
+                            for c, t in zip(configs, times)]):
+        if key is None:  # dephased points, whatever their b: w = 1/(2 Lambda_b^2)
+            np.stack([_dispersion(n, c.gamma, c.field_after) for c in configs[rows]], out=w[rows])
+            _inverse(w[rows], out=w[rows])
+            w[rows] *= w[rows]
+            w[rows] *= 0.5
+            np.add.outer([c.field_after for c in configs[rows]], cos, out=xw[rows])
+            xw[rows] *= w[rows]
+            continue
+        lam, inv = _rotation(n, *key)
+        t = np.array(times[rows])[:, None]
+        arg = 2.0 * t * lam
+        np.sin(arg, out=w[rows])
+        w[rows] *= inv
+        w[rows] *= w[rows]
+        arg *= 2.0
+        np.sin(arg, out=v[rows])
+        v[rows] *= inv
+        frozen = lam < SERIES_EPS
+        if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
+            w[rows, frozen] = (2.0 * t) ** 2
+            v[rows, frozen] = 4.0 * t
+        np.multiply(w[rows], cos + key[1], out=xw[rows])
+    runs = [(key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None],
+             _terms(n, *key)) for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
+    return _Batch(runs, _read_only(w, xw, v))
+
+
+_FACTOR_CACHES = (_grid, _dispersion, _rotation, _terms, _tables, _batch)
+
+
+@contextmanager
+def factor_scope():
+    """Share the per-a and per-b factors among the batches evaluated inside.
+
+    A run evaluates all its batches in one scope, so Lambda(h) is computed
+    once per distinct (N, gamma, h) of the run, for a and b alike.  The
+    caches are emptied when a scope starts and when it ends: nothing a run
+    caches outlives it, and what calls outside any scope left behind goes at
+    the next start.
+    """
+    for cache in _FACTOR_CACHES:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        for cache in _FACTOR_CACHES:
+            cache.cache_clear()
 
 
 def mode_blocks(config, t) -> ModeBlocks:
@@ -144,105 +251,84 @@ def mode_blocks(config, t) -> ModeBlocks:
 
     Each momentum subspace has basis (vacuum, pair, single +p, single -p);
     only the (vacuum, pair) block enters the contractions.  The Gibbs state
-    at field a is weighted by tanh(Lambda_a/kT)/Lambda_a (kT = 0 allowed) and
-    rotates under field b at frequency 4 Lambda_b; t = math.inf keeps its
-    dephased part.  Per mode,
+    at field a is weighted by W = tanh(Lambda_a/kT)/Lambda_a (kT = 0 allowed)
+    and rotates under field b at frequency 4 Lambda_b; t = math.inf keeps its
+    dephased part.  Per mode, with x_h = cos(phi) + h,
 
-        rho22 - rho11 = p0 + p1 w,    rho12 = r1 v + i (i0 + i1 w),
+        rho22 - rho11 = W x_a + (1/2) (b - a) W delta^2 w,
+        Im rho12 = W delta / 4 - (1/2) (b - a) W delta x_b w,
+        Re rho12 = (1/4) (b - a) W delta v:
 
-    where p0, p1, r1, i0, i1 depend on the config only and are computed once
-    per config, and w = sin^2(2 t Lambda_b)/Lambda_b^2 and
-    v = sin(4 t Lambda_b)/Lambda_b are the only per-point work.  Dephased,
-    w = 1/(2 Lambda_b^2) and v = 0; modes with Lambda_b below SERIES_EPS
-    take the series limits w = (2t)^2, v = 4t and never dephase (w = 0).
-    For a batch the arrays are (points x modes).  They are read-only.
+    each a head and a row that depend on a alone (_terms), and a column w,
+    x_b w or v that depends on (b, t) alone (_batch), with
+    w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
+    Dephased, w = 1/(2 Lambda_b^2) and v = 0; modes with Lambda_b below
+    SERIES_EPS take the series limits w = (2t)^2, v = 4t and never dephase
+    (w = 0).  The contraction sums read the same factors as bilinear forms
+    (_offset_sums).  For a batch the arrays are (points x modes).  They are
+    read-only.
     """
     configs, times, single = _points(config, t)
-    population, re, im = _blocks(configs, times)
-    blocks = ModeBlocks(population, re + 1j * im)
-    blocks.coherence.flags.writeable = False
+    batch = _batch(configs, times)
+    n = configs[0].n_sites
+    population, im, re = np.zeros((3, len(configs), n // 2))
+    for _, rows, gap, terms in batch.runs:
+        for out, (head, scale, row), column in zip((population, im, re), terms, batch.columns):
+            if column is not None:
+                out[rows] = scale * gap * row * column[rows]
+            if head is not None:
+                out[rows] += head
+    blocks = ModeBlocks(*_read_only(population, re + 1j * im))
     return ModeBlocks(*(x[0] for x in blocks)) if single else blocks
-
-
-@lru_cache(maxsize=1)
-def _blocks(configs: tuple, times: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """rho22 - rho11, Re rho12 and Im rho12 of a batch, as (points x modes) arrays.
-
-    The last batch is cached, so its contraction table and its magnetization
-    share one evaluation.
-    """
-    _blocks.cache_clear()  # free the previous batch before allocating this one
-    shape = (len(configs), configs[0].n_sites // 2)
-    population, re, im = np.empty(shape), np.empty(shape), np.empty(shape)
-    start = 0
-    for config, run in groupby(configs):  # runs of points that share a config
-        rows = slice(start, start + len(list(run)))
-        start = rows.stop
-        f = _factors(config)
-        t = np.array(times[rows])[:, None]
-        dephased = np.isinf(t)
-        if dephased.all():
-            w, v = f.w_inf, 0.0
-        else:
-            t[dephased] = 0.0
-            arg = 2.0 * t * f.lam_b
-            w = np.sin(arg)
-            w *= f.inv_lam_b
-            w *= w
-            arg *= 2.0
-            v = np.sin(arg, out=arg)
-            v *= f.inv_lam_b
-            if not f.evolving.all():  # frozen modes take the series limits (2t)^2 and 4t
-                w = np.where(f.evolving, w, (2.0 * t) ** 2)
-                v = np.where(f.evolving, v, 4.0 * t)
-            if dephased.any():
-                w = np.where(dephased, f.w_inf, w)
-                v = np.where(dephased, 0.0, v)
-        np.multiply(f.p1, w, out=population[rows])
-        population[rows] += f.p0
-        np.multiply(f.r1, v, out=re[rows])
-        np.multiply(f.i1, w, out=im[rows])
-        im[rows] += f.i0
-    _grid.cache_clear()
-    for arr in (population, re, im):
-        arr.flags.writeable = False
-    return population, re, im
 
 
 @lru_cache(maxsize=8)
 def _trig_table(n_sites: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(d phi) and sin(d phi) for d = 0..d_max, as (modes x offsets) arrays."""
-    angle = np.multiply.outer(momenta(n_sites), np.arange(d_max + 1, dtype=float))
+    """cos(d phi) and sin(d phi) for d = 0..d_max, as (offsets x modes) arrays."""
+    angle = np.multiply.outer(np.arange(d_max + 1, dtype=float), momenta(n_sites))
     cos, sin = np.cos(angle), np.sin(angle)
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
-
-
-def _sums(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # A stack of (1 x modes) @ (modes x offsets) products, one per point: the
-    # same BLAS call for every batch size, so a point's sums do not depend on
-    # the batch it is in.
-    return np.matmul(x[:, None, :], table)[:, 0]
 
 
 def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, S and I at offsets 0..d_max, as (points x offsets) arrays.
 
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
-    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11), S weighs
-    4 Im rho12 and I weighs -4 Re rho12.
+    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11) by cos(d phi),
+    S weighs 4 Im rho12 and I weighs -4 Re rho12 by sin(d phi).  Per run of
+    points sharing a, each sum is head @ table.T plus the bilinear form
+    column @ (table * row).T, taken as one (1 x modes) @ (modes x offsets)
+    product per point: the same BLAS call for every batch size, so a point's
+    sums do not depend on its batch.
     """
-    population, re, im = _blocks(configs, times)
+    batch = _batch(configs, times)
     n = configs[0].n_sites
-    cos, sin = _trig_table(n, d_max)
-    return 2.0 * _sums(population, cos) / n, 4.0 * _sums(im, sin) / n, -4.0 * _sums(re, sin) / n
+    sums = np.zeros((3, len(configs), d_max + 1))
+    for key, rows, gap, _ in batch.runs:
+        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), batch.columns):
+            if head is not None:
+                out[rows] = head
+            if column is not None:
+                out[rows] += scale * gap * np.matmul(column[rows, None, :], table)[:, 0]
+    population, im, re = sums
+    return 2.0 * population / n, 4.0 * im / n, -4.0 * re / n
 
 
 def magnetization_z(config, t):
-    """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2."""
+    """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2.
+
+    That is the mode sum of rho22 - rho11 over N; C[0] weighs it by cos(0) = 1.
+    """
     configs, times, single = _points(config, t)
-    population, n = _blocks(configs, times)[0], configs[0].n_sites
-    mz = 0.5 * (2.0 * _sums(population, _trig_table(n, 0)[0]) / n)[:, 0]
+    batch = _batch(configs, times)
+    n = configs[0].n_sites
+    mz = np.empty(len(configs))
+    for _, rows, gap, terms in batch.runs:
+        head, scale, row = terms[0]
+        column = batch.columns[0][rows, None, :]
+        mz[rows] = head.sum() + scale * gap[:, 0] * np.matmul(column, row[:, None])[:, 0, 0]
+    mz /= n
     return float(mz[0]) if single else mz
 
 

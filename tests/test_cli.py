@@ -322,6 +322,26 @@ def test_chunk_size_does_not_move_rows(monkeypatch):
     assert np.max(np.abs(rows[100] - rows[10**9])) <= 1e-13
 
 
+def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
+    # Factors cached by an earlier call must neither be reused nor skew the
+    # count: each call is one run, with one momentum grid per ring size.
+    calls = Counter()
+
+    def counted(config, _fn=correlations.grid_arrays):
+        calls[config.n_sites] += 1
+        return _fn(config)
+
+    monkeypatch.setattr(correlations, "grid_arrays", counted)
+    config = ChainConfig(8, 1.0, 0.5, 0.3, 1.7)
+    correlations.correlator_xx(config, 1, 2.0)  # leaves this config's factors cached
+    calls.clear()
+    for expected in (1, 2):
+        pair_observables(config, 1, math.inf)
+        assert calls == {8: expected}
+    pair_observables(ChainConfig(16, 1.0, 0.5, 0.3, 1.7), 1, math.inf)
+    assert calls == {8: 2, 16: 1}
+
+
 @pytest.mark.parametrize("chunk", [0, 2])
 def test_first_invalid_point_of_a_batch_is_named(chunk):
     # (a, b) = (0, 0) is non-physical at N = 2000 and kT = 0 for every t.  The

@@ -1,15 +1,18 @@
 """Pfaffians, elementary contractions, and string correlators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xyquench.correlations import (
+    ModeBlocks,
     contraction_table,
     correlator_xx,
     correlator_yy,
     correlator_zz,
+    factor_scope,
     magnetization_z,
     mode_blocks,
     pfaffian,
@@ -156,6 +159,61 @@ def test_contractions_are_sums_over_mode_states():
                 aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
                 assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
                 assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
+
+
+def _gamma_from_mode_sums(config, t, d_max):
+    """Gamma of one point, summed mode by mode from mode_blocks of that point alone."""
+    with factor_scope():
+        blocks = mode_blocks(config, t)
+    phi = np.array([m.phi for m in mode_grid(config)])
+    gamma = np.zeros((d_max + 1, 2, d_max + 1, 2), dtype=complex)
+    for s in range(d_max + 1):
+        for s2 in range(d_max + 1):
+            cos_d, sin_d = np.cos((s2 - s) * phi), np.sin((s2 - s) * phi)
+            c = 2.0 * np.sum(blocks.population * cos_d) / config.n_sites
+            odd = 4.0 * np.sum(blocks.coherence.imag * sin_d) / config.n_sites
+            aa = -4.0 * np.sum(blocks.coherence.real * sin_d) / config.n_sites
+            gamma[s, 1, s2, 0] = c + odd  # <B_s A_s2>
+            gamma[s, 0, s2, 1] = odd - c  # <A_s B_s2>
+            if s != s2:
+                gamma[s, 0, s2, 0] = gamma[s, 1, s2, 1] = 1j * aa
+    return gamma.reshape(2 * d_max + 2, 2 * d_max + 2)
+
+
+def test_surface_batches_equal_point_by_point_mode_sums():
+    # A field grid, row-major (consecutive points share a with different b)
+    # and column-major (they share b with different a).  a = 1 at kT = 0 puts
+    # the phi = pi mode at Lambda_a = 0 (degenerate weight) and b = 1 puts it
+    # at Lambda_b = 0 (frozen); one batch holds t = 0, a finite t and inf.
+    fields = (0.3, 1.0, 1.7)
+    times = (0.0, 2.9, math.inf)
+    for gamma, kt in ((1.0, 0.0), (0.7, 0.0), (0.7, 0.4)):
+        rows = [ChainConfig(16, gamma, kt, a, b) for a in fields for b in fields]
+        columns = [ChainConfig(16, gamma, kt, a, b) for b in fields for a in fields]
+        points = [(c, t) for grid in (rows, columns) for t in times for c in grid]
+        configs, batch_times = tuple(c for c, _ in points), tuple(t for _, t in points)
+        with factor_scope():
+            batch = contraction_table(configs, batch_times, 3)
+        for config, t, gamma_batch in zip(configs, batch_times, batch):
+            assert np.max(np.abs(gamma_batch - _gamma_from_mode_sums(config, t, 3))) <= 1e-13
+
+
+def test_configs_differing_only_in_kt_or_gamma_share_no_factors():
+    base = ChainConfig(16, 0.7, 0.0, 0.6, 1.4)
+    for other in (replace(base, kt=0.5), replace(base, gamma=1.1)):
+        for t in (1.3, math.inf):
+            with factor_scope():
+                fresh = mode_blocks(other, t), magnetization_z(other, t)
+                alone = mode_blocks(base, t)
+            with factor_scope():
+                magnetization_z(base, t)  # base's factors are cached from here on
+                warm = mode_blocks(other, t), magnetization_z(other, t)
+                pair = mode_blocks((base, other), t)
+            assert not np.allclose(fresh[0].population, alone.population)
+            assert warm[1] == fresh[1]
+            for blocks in (warm[0], ModeBlocks(*(x[1] for x in pair))):
+                assert np.array_equal(blocks.population, fresh[0].population)
+                assert np.array_equal(blocks.coherence, fresh[0].coherence)
 
 
 def test_batches_take_matching_points_of_one_ring_size():
