@@ -12,8 +12,9 @@ add --n-sites --grid-min --grid-max --grid-steps, and oracle-compare adds
 --field-a --field-b --t-start --t-end --t-steps --n-list.  A flat
 ``key = value`` config file (--config) may set the subcommand's own flags;
 explicit flags win over the file, the file wins over defaults, and the
-effective configuration is echoed into the output metadata.  Exit codes:
-0 success, 1 invalid input, 2 numerical failure, 3 oracle schedule violation.
+effective configuration is echoed into the output metadata.  Runs are one
+process; --workers is accepted and has no effect.  Exit codes: 0 success,
+1 invalid input, 2 numerical failure, 3 oracle schedule violation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -106,6 +106,8 @@ class RunSpec:
             raise ValueError(f"--time-average must be positive, got {self.time_average}")
         if not self.n_list:
             raise ValueError("--n-list must not be empty")
+        if any(m >= n for m, n in zip(self.n_list, self.n_list[1:])):
+            raise ValueError(f"--n-list must be strictly increasing, got {','.join(map(str, self.n_list))}")
         for n in self.n_list:
             if not 4 <= n <= 12 or n % 2:
                 raise ValueError(f"--n-list entries must be even and in 4..12, got {n}")
@@ -141,26 +143,17 @@ def pair_observables(config: ChainConfig, d: int, t: float):
     return _evaluate([config], d, [t])[0]
 
 
-def _evaluate(configs: list, d: int, times: list, workers: int = 1) -> list:
+def _evaluate(configs: list, d: int, times: list) -> list:
     """pair_observables at every point (configs of one ring size), in point order.
 
-    The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one;
-    the boundaries depend only on the point index and N, not on workers.
-    With workers > 1 the chunks are spread over worker processes.  The chunks
-    share one factor_scope, so each field's mode factors are computed once
-    per run (once per worker process), and none outlive the call.
+    The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one,
+    in one factor_scope: each field's mode factors are computed once per run,
+    and none outlive the call.
     """
     size = max(1, CHUNK_ELEMENTS // (configs[0].n_sites // 2))
-    starts = range(0, len(configs), size)
-    columns = ([configs[i : i + size] for i in starts], [d] * len(starts),
-               [times[i : i + size] for i in starts])
     with factor_scope():
-        if workers <= 1 or len(starts) <= 1:
-            return [row for chunk in map(_observables, *columns) for row in chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_observables, *columns,
-                              chunksize=max(1, len(starts) // (workers * 8)))
-            return [row for chunk in chunks for row in chunk]
+        return [row for i in range(0, len(configs), size)
+                for row in _observables(configs[i : i + size], d, times[i : i + size])]
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
@@ -177,7 +170,7 @@ def run_timeseries(spec: RunSpec):
                                                 AVERAGE_SAMPLES)]
     points = times + [math.inf] + window
     configs = [config] * len(points)
-    values = _evaluate(configs, spec.offset, points, spec.workers)
+    values = _evaluate(configs, spec.offset, points)
     rows = [[t] + list(vals) for t, vals in zip(times + [math.inf], values)]
     if window:
         rows.append(["avg"] + list(np.mean(np.asarray(values[len(times) + 1 :]), axis=0)))
@@ -190,7 +183,7 @@ def run_surface(spec: RunSpec):
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
     configs = [_chain(spec, float(a), float(b)) for a in grid for b in grid]
     times = [math.inf] * len(configs)
-    values = _evaluate(configs, spec.offset, times, spec.workers)
+    values = _evaluate(configs, spec.offset, times)
     rows = [
         [cfg.field_before, cfg.field_after, vals[4], vals[5]]
         for cfg, vals in zip(configs, values)
@@ -205,7 +198,7 @@ def run_equilibrium(spec: RunSpec):
     columns = ["h", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     grid = np.linspace(spec.grid_min, spec.grid_max, spec.grid_steps)
     configs = [_chain(spec, float(h), float(h)) for h in grid]
-    values = _evaluate(configs, spec.offset, [0.0] * len(configs), spec.workers)
+    values = _evaluate(configs, spec.offset, [0.0] * len(configs))
     rows = [[cfg.field_before] + list(vals) for cfg, vals in zip(configs, values)]
     return columns, rows, 0
 
@@ -220,7 +213,7 @@ def run_oracle_compare(spec: RunSpec):
         config = _chain(spec, spec.field_a, spec.field_b, n_sites=n)
         oracle = quench_series(n, spec.gamma, spec.kt, spec.field_a, spec.field_b,
                                times, d=spec.offset)
-        values = _evaluate([config] * len(times), spec.offset, times, spec.workers)
+        values = _evaluate([config] * len(times), spec.offset, times)
         err = 0.0
         for t, (mz, sx, sy, sz, c, _), (mz_ed, sx_ed, sy_ed, sz_ed, rho_pair) in zip(
                 times, values, oracle):
@@ -315,8 +308,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     """The parser and its subcommand parsers by name, with the flags of FLAGS."""
     # Flag types, where the field's default does not show it.
     types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
-    helps = {"workers": "processes to spread the run's chunks over; oracle-compare "
-                        "evaluates each ring's times as one chunk, so it has no effect there"}
+    helps = {"workers": "accepted for compatibility; has no effect, runs are one process"}
     parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, read in FLAGS.items():

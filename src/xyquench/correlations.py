@@ -225,6 +225,7 @@ def _batch(configs: tuple, times: tuple) -> _Batch:
 
 
 _FACTOR_CACHES = (_grid, _dispersion, _rotation, _terms, _tables, _batch)
+_open_scopes = 0
 
 
 @contextmanager
@@ -232,20 +233,23 @@ def factor_scope():
     """Share the per-a and per-b factors among the batches evaluated inside.
 
     A run evaluates all its batches in one scope, so Lambda(h) is computed
-    once per distinct (N, gamma, h) of the run, for a and b alike.  The
-    caches are emptied when a scope starts and when it ends: nothing a run
-    caches outlives it, and what calls outside any scope left behind goes at
-    the next start.
+    once per distinct (N, gamma, h) of the run, for a and b alike.  Scopes
+    nest; the caches are emptied when the outermost one ends, so nothing a
+    run caches outlives it.  Each public function here runs in a scope, so a
+    call made outside any scope is a run of its own and leaves nothing cached.
     """
-    for cache in _FACTOR_CACHES:
-        cache.cache_clear()
+    global _open_scopes
+    _open_scopes += 1
     try:
         yield
     finally:
-        for cache in _FACTOR_CACHES:
-            cache.cache_clear()
+        _open_scopes -= 1
+        if not _open_scopes:
+            for cache in _FACTOR_CACHES:
+                cache.cache_clear()
 
 
+@factor_scope()
 def mode_blocks(config, t) -> ModeBlocks:
     """Per-mode state after the quench a -> b, in the closed form of Barouch & McCoy.
 
@@ -315,6 +319,7 @@ def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np
     return 2.0 * population / n, 4.0 * im / n, -4.0 * re / n
 
 
+@factor_scope()
 def magnetization_z(config, t):
     """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2.
 
@@ -338,6 +343,7 @@ def _check_offset(config: ChainConfig, d_max: int):
 
 
 @lru_cache(maxsize=4)
+@factor_scope()
 def contraction_table(config, t, d_max: int) -> np.ndarray:
     """Skew contraction matrix Gamma over (A_0, B_0, ..., A_{d_max}, B_{d_max}).
 
@@ -415,6 +421,7 @@ def _check_distance(config: ChainConfig, d: int):
         raise ValueError(f"distance {d} outside the ring of {config.n_sites} sites")
 
 
+@factor_scope()
 def _quarter_pfaffian(config, d: int, t, ops: list, prefactor: float):
     """prefactor/4 times the Pfaffian of Gamma's rows and columns ops, per point."""
     configs, times, single = _points(config, t)

@@ -1,5 +1,6 @@
 """Argument merging, output formats, exit codes, and the physics the CLI exposes."""
 
+import functools
 import json
 import math
 import re
@@ -142,6 +143,8 @@ def test_missing_config_file_exits_one(tmp_path):
         ["oracle-compare", "--n-list", "14"],
         ["oracle-compare", "--n-list", "7"],
         ["oracle-compare", "--n-list", ""],
+        ["oracle-compare", "--n-list", "8,6"],
+        ["oracle-compare", "--n-list", "6,6"],
     ],
 )
 def test_invalid_values_exit_one(argv, capsys):
@@ -323,8 +326,8 @@ def test_chunk_size_does_not_move_rows(monkeypatch):
 
 
 def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
-    # Factors cached by an earlier call must neither be reused nor skew the
-    # count: each call is one run, with one momentum grid per ring size.
+    # Factors of an earlier call must neither be reused nor skew the count:
+    # each call is one run, with one momentum grid per ring size.
     calls = Counter()
 
     def counted(config, _fn=correlations.grid_arrays):
@@ -333,13 +336,32 @@ def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
 
     monkeypatch.setattr(correlations, "grid_arrays", counted)
     config = ChainConfig(8, 1.0, 0.5, 0.3, 1.7)
-    correlations.correlator_xx(config, 1, 2.0)  # leaves this config's factors cached
+    correlations.correlator_xx(config, 1, 2.0)
     calls.clear()
     for expected in (1, 2):
         pair_observables(config, 1, math.inf)
         assert calls == {8: expected}
     pair_observables(ChainConfig(16, 1.0, 0.5, 0.3, 1.7), 1, math.inf)
     assert calls == {8: 2, 16: 1}
+
+
+def test_surface_forms_one_dispersion_row_per_field(monkeypatch, tmp_path):
+    # The a and b of a k x k surface take the same k fields: one Lambda(h)
+    # row each at N, shared by all chunks of the run (81 points, 3 chunks).
+    rows = Counter()
+
+    def counted(n_sites, gamma, h, _fn=correlations._dispersion.__wrapped__):
+        rows[n_sites] += 1
+        return _fn(n_sites, gamma, h)
+
+    cached = functools.lru_cache(maxsize=None)(counted)
+    caches = tuple(cached if c is correlations._dispersion else c for c in correlations._FACTOR_CACHES)
+    monkeypatch.setattr(correlations, "_FACTOR_CACHES", caches)
+    monkeypatch.setattr(correlations, "_dispersion", cached)
+    code, _ = _run(tmp_path, "surface", "--n-sites", "2000", "--kt", "0.5", "--grid-steps", "9",
+                   "--grid-min", "0.5", "--grid-max", "2.5")
+    assert code == 0
+    assert rows[2000] == 9
 
 
 @pytest.mark.parametrize("chunk", [0, 2])

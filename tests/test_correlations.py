@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xyquench import correlations
 from xyquench.correlations import (
     ModeBlocks,
     contraction_table,
@@ -214,6 +215,20 @@ def test_configs_differing_only_in_kt_or_gamma_share_no_factors():
             for blocks in (warm[0], ModeBlocks(*(x[1] for x in pair))):
                 assert np.array_equal(blocks.population, fresh[0].population)
                 assert np.array_equal(blocks.coherence, fresh[0].coherence)
+
+
+def test_calls_outside_a_scope_leave_no_factors_cached():
+    config = ChainConfig(200, 1.0, 0.5, 0.3, 1.7)
+    calls = (lambda t: mode_blocks(config, t), lambda t: magnetization_z(config, t),
+             lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
+             lambda t: correlator_yy([config, config], 1, [t, 0.5]),
+             lambda t: correlator_zz(config, 3, t))
+    names = ("_grid", "_dispersion", "_rotation", "_terms", "_tables", "_batch")
+    for call in calls:
+        for t in (1.3, math.inf):
+            call(t)
+            held = {name: getattr(correlations, name).cache_info().currsize for name in names}
+            assert held == dict.fromkeys(names, 0)
 
 
 def test_batches_take_matching_points_of_one_ring_size():

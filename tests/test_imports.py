@@ -42,9 +42,11 @@ def _unread_private_names(source: str) -> list:
 
 def test_cli_import_leaves_the_oracles_out():
     # No scipy module at all: the ED oracle is numpy only and dynamics loads
-    # scipy.integrate, which the command line never needs.
+    # scipy.integrate, which the command line never needs.  Runs are one
+    # process, so no process pool either.
+    forbidden = ("scipy", "concurrent", "multiprocessing")
     code = ("import sys, xyquench.cli; print([m for m in sys.modules "
-            "if m == 'xyquench.dynamics' or m.split('.')[0] == 'scipy'])")
+            f"if m == 'xyquench.dynamics' or m.split('.')[0] in {forbidden!r}])")
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=120, check=True)
