@@ -9,7 +9,7 @@ state by diagonalizing or integrating its 4x4 Hamiltonian, and xyquench.ed
 diagonalizes small rings densely to validate the whole pipeline.
 """
 
-from .lattice import ChainConfig, Mode, dispersion, mode_grid
+from .lattice import ChainConfig, dispersion
 from .correlations import (
     contraction_table,
     correlator_xx,
@@ -30,9 +30,7 @@ from .errors import IntegrationError, InvalidStateError, NumericalError
 
 __all__ = [
     "ChainConfig",
-    "Mode",
     "dispersion",
-    "mode_grid",
     "mode_blocks",
     "contraction_table",
     "magnetization_z",

@@ -82,6 +82,11 @@ class RunSpec:
     def validate(self):
         if self.command not in FLAGS:
             raise ValueError(f"unknown command {self.command!r}")
+        for f in fields(self):  # kt = inf is the infinite-temperature state
+            value = getattr(self, f.name)
+            if isinstance(value, float) and (math.isnan(value) or math.isinf(value) and f.name != "kt"):
+                need = "a number" if f.name == "kt" else "finite"
+                raise ValueError(f"--{f.name.replace('_', '-')} must be {need}, got {value}")
         if self.n_sites < 4 or self.n_sites % 2:
             raise ValueError(f"--n-sites must be even and >= 4, got {self.n_sites}")
         if self.kt < 0:

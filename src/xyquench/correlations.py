@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, at_point
-from .lattice import ChainConfig, grid_arrays, momenta
+from .lattice import ChainConfig, grid_arrays
 
 # Below this, expressions with Lambda(b) in a denominator switch to their
 # series limit (sin(2 t L)/L -> 2 t and friends).
@@ -92,10 +92,10 @@ class ModeBlocks(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos(phi_p) and delta_p, cached with the factors (see factor_scope)."""
+def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_p, cos(phi_p) and delta_p: the module's one read of the grid, cached with the factors."""
     phi, delta = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
-    return np.cos(phi), delta
+    return phi, np.cos(phi), delta
 
 
 def _read_only(*arrays):
@@ -108,7 +108,7 @@ def _read_only(*arrays):
 @lru_cache(maxsize=None)
 def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
     """Lambda(h) per mode, for a field before or after the quench alike."""
-    cos, delta = _grid(n_sites, gamma)
+    _, cos, delta = _grid(n_sites, gamma)
     return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
 
 
@@ -136,7 +136,7 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     Only the last a is kept: a surface row or a time series meets its a in
     one stretch of consecutive batches.
     """
-    lam_a, (cos, delta) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
+    lam_a, (_, cos, delta) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
     if kt == 0.0:
         # Exactly degenerate modes are uniform at kT = 0 and contribute
         # nothing; nearby modes stay finite because |x_a|, |delta|/2 <= Lambda_a.
@@ -153,6 +153,13 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     return (head, 0.5, wdd), (quarter, -0.5, wd), (None, 0.25, wd)
 
 
+@lru_cache(maxsize=None)
+def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(d phi) and sin(d phi) for d = 0..d_max, as (offsets x modes) arrays."""
+    angle = np.multiply.outer(np.arange(d_max + 1, dtype=float), _grid(n_sites, gamma)[0])
+    return _read_only(np.cos(angle), np.sin(angle))
+
+
 @lru_cache(maxsize=1)
 def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
     """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
@@ -160,7 +167,7 @@ def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list
     The tables are those of C, S and I: cos, sin and sin (see _offset_sums).
     Only the last a is kept, as for _terms.
     """
-    cos, sin = _trig_table(n_sites, d_max)
+    cos, sin = _trig_table(n_sites, gamma, d_max)
     (head_c, scale_c, row_c), (head_s, scale_s, row_s), (_, scale_i, _) = _terms(n_sites, gamma, kt, a)
     weighted_sin = (sin * row_s).T  # Im rho12 and Re rho12 share their row
     return [(head_c @ cos.T, scale_c, (cos * row_c).T), (head_s @ sin.T, scale_s, weighted_sin),
@@ -192,7 +199,7 @@ def _batch(configs: tuple, times: tuple) -> _Batch:
     """The last batch is cached, so its contraction table and its magnetization share it."""
     _batch.cache_clear()  # free the previous batch before allocating this one
     n = configs[0].n_sites
-    cos = _grid(n, configs[0].gamma)[0]  # cos(phi_p) does not depend on gamma
+    cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
     w, xw = np.empty((2, len(configs), n // 2))
     v = None if all(map(math.isinf, times)) else np.zeros_like(w)
     for key, rows in _runs([None if math.isinf(t) else (c.gamma, c.field_after)
@@ -224,8 +231,8 @@ def _batch(configs: tuple, times: tuple) -> _Batch:
     return _Batch(runs, _read_only(w, xw, v))
 
 
-_FACTOR_CACHES = (_grid, _dispersion, _rotation, _terms, _tables, _batch)
 _open_scopes = 0
+_ended_lookups = (0, 0)  # contraction_table's hits and misses in the runs that have ended
 
 
 @contextmanager
@@ -234,17 +241,19 @@ def factor_scope():
 
     A run evaluates all its batches in one scope, so Lambda(h) is computed
     once per distinct (N, gamma, h) of the run, for a and b alike.  Scopes
-    nest; the caches are emptied when the outermost one ends, so nothing a
-    run caches outlives it.  Each public function here runs in a scope, so a
-    call made outside any scope is a run of its own and leaves nothing cached.
+    nest; the caches (_FACTOR_CACHES: the factors, the trig tables and Gamma)
+    are emptied when the outermost one ends, so nothing a run caches outlives
+    it.  Each public function here runs in a scope, so a call made outside
+    any scope is a run of its own and leaves nothing cached.
     """
-    global _open_scopes
+    global _open_scopes, _ended_lookups
     _open_scopes += 1
     try:
         yield
     finally:
         _open_scopes -= 1
         if not _open_scopes:
+            _ended_lookups = _table_lookups()[:2]
             for cache in _FACTOR_CACHES:
                 cache.cache_clear()
 
@@ -284,15 +293,6 @@ def mode_blocks(config, t) -> ModeBlocks:
                 out[rows] += head
     blocks = ModeBlocks(*_read_only(population, re + 1j * im))
     return ModeBlocks(*(x[0] for x in blocks)) if single else blocks
-
-
-@lru_cache(maxsize=8)
-def _trig_table(n_sites: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(d phi) and sin(d phi) for d = 0..d_max, as (offsets x modes) arrays."""
-    angle = np.multiply.outer(np.arange(d_max + 1, dtype=float), momenta(n_sites))
-    cos, sin = np.cos(angle), np.sin(angle)
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
 
 
 def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -342,14 +342,14 @@ def _check_offset(config: ChainConfig, d_max: int):
         raise ValueError(f"offset {d_max} outside the ring of {config.n_sites} sites")
 
 
-@lru_cache(maxsize=4)
 @factor_scope()
+@lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings share
 def contraction_table(config, t, d_max: int) -> np.ndarray:
     """Skew contraction matrix Gamma over (A_0, B_0, ..., A_{d_max}, B_{d_max}).
 
     Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
     the diagonal is zero.  A batch gives a (points, 2 d_max + 2, 2 d_max + 2)
-    stack.  The array is cached and read-only.
+    stack.  The array is cached while the run lasts and is read-only.
     """
     configs, times, single = _points(config, t)
     _check_offset(configs[0], d_max)
@@ -366,9 +366,21 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
     gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]
     gamma[:, :, 0, :, 1] = sign * s[:, k] - c[:, k]  # <A_s B_s'>
     gamma[:, :, 1, :, 0] = sign * s[:, k] + c[:, k]  # <B_s A_s'>
-    gamma = gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2)
-    gamma.flags.writeable = False
+    gamma = _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))[0]
     return gamma[0] if single else gamma
+
+
+_gamma_cache = contraction_table.__wrapped__
+
+
+def _table_lookups():
+    """contraction_table.cache_info(), with the hits and misses that each run's cache_clear reset."""
+    info = _gamma_cache.cache_info()
+    return info._replace(hits=info.hits + _ended_lookups[0], misses=info.misses + _ended_lookups[1])
+
+
+contraction_table.cache_info = _table_lookups
+_FACTOR_CACHES = (_grid, _dispersion, _rotation, _terms, _tables, _batch, _trig_table, _gamma_cache)
 
 
 def pfaffian(m):

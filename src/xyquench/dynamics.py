@@ -18,30 +18,29 @@ from scipy.integrate import solve_ivp
 from . import ed
 from .correlations import SERIES_EPS
 from .errors import IntegrationError
-from .lattice import Mode
 
 
-def _mode_hamiltonian(mode: Mode, h: float) -> np.ndarray:
-    """Full 4x4 subspace Hamiltonian at field h."""
-    c = math.cos(mode.phi)
+def _mode_hamiltonian(phi: float, delta: float, h: float) -> np.ndarray:
+    """Full 4x4 subspace Hamiltonian of the mode (phi, delta) at field h."""
+    c = math.cos(phi)
     out = np.zeros((4, 4), dtype=complex)
     out[0, 0] = 2.0 * h
-    out[0, 1] = -1j * mode.delta
-    out[1, 0] = 1j * mode.delta
+    out[0, 1] = -1j * delta
+    out[1, 0] = 1j * delta
     out[1, 1] = -4.0 * c - 2.0 * h
     out[2, 2] = out[3, 3] = -2.0 * c
     return out
 
 
-def spectral_mode_state(mode: Mode, a: float, b: float, kt: float, t: float) -> np.ndarray:
-    """4x4 state of one mode at time t after the quench a -> b, by diagonalization.
+def spectral_mode_state(phi: float, delta: float, a: float, b: float, kt: float, t: float) -> np.ndarray:
+    """4x4 state of the mode (phi, delta) at time t after the quench a -> b, by diagonalization.
 
     t = math.inf gives the dephased limit: the state is pinched in the
     eigenbasis of H(b), keeping only the entries between levels closer than
     4 * SERIES_EPS, the gap below which production holds a mode unevolved.
     """
-    rho0 = ed.thermal_state(_mode_hamiltonian(mode, a), kt)
-    ham = _mode_hamiltonian(mode, b)
+    rho0 = ed.thermal_state(_mode_hamiltonian(phi, delta, a), kt)
+    ham = _mode_hamiltonian(phi, delta, b)
     if not math.isinf(t):
         return ed.evolve(rho0, ham, t)
     evals, vecs = np.linalg.eigh(ham)
@@ -50,19 +49,19 @@ def spectral_mode_state(mode: Mode, a: float, b: float, kt: float, t: float) -> 
 
 
 def evolve_mode_numeric(
-    mode: Mode, a: float, b: float, kt: float, t: float, tol: float = 1e-9
+    phi: float, delta: float, a: float, b: float, kt: float, t: float, tol: float = 1e-9
 ) -> np.ndarray:
-    """4x4 state of one mode at time t, by integrating the von Neumann equation.
+    """4x4 state of the mode (phi, delta) at time t, by integrating the von Neumann equation.
 
     Starts from the same Gibbs state as spectral_mode_state but never
     diagonalizes H(b).  tol sets the integrator error control.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    state0 = ed.thermal_state(_mode_hamiltonian(mode, a), kt)
+    state0 = ed.thermal_state(_mode_hamiltonian(phi, delta, a), kt)
     if t == 0:
         return state0
-    ham = _mode_hamiltonian(mode, b)
+    ham = _mode_hamiltonian(phi, delta, b)
 
     def rhs(_, y):
         rho = y.reshape(4, 4)

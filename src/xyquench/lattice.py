@@ -11,8 +11,8 @@ phi_p = 2*pi*p/N.  Each mode carries
 
 and everything downstream (the per-mode states of correlations.mode_blocks
 and the contractions summed over them) is built from these two quantities
-and cos(phi_p) + h.  grid_arrays feeds production; mode_grid's Mode objects
-feed the per-mode oracle in dynamics and the tests.
+and cos(phi_p) + h.  grid_arrays is the one place phi_p and delta_p are
+formed; dispersion is the scalar formula, a reference for the tests.
 """
 
 from __future__ import annotations
@@ -43,48 +43,23 @@ class ChainConfig:
             raise ValueError(f"n_sites must be at least 4, got {self.n_sites}")
         if self.n_sites % 2:
             raise ValueError(f"n_sites must be even, got {self.n_sites}")
-        if self.kt < 0:
+        if not self.kt >= 0:  # NaN fails too; kt = inf is the infinite-temperature state
             raise ValueError(f"kt must be non-negative, got {self.kt}")
-
-
-@dataclass(frozen=True)
-class Mode:
-    """One momentum subspace: angle phi, pair coupling delta and the dispersion."""
-
-    p: int
-    phi: float
-    delta: float
-
-    def lambda_of(self, h: float) -> float:
-        # hypot on delta/2 rather than gamma*sin(phi) so that the exact
-        # delta = 0 of the phi = pi mode gives Lambda = |h - 1| exactly.
-        return math.hypot(math.cos(self.phi) + h, 0.5 * self.delta)
-
-
-def momenta(n_sites: int) -> np.ndarray:
-    """phi_p = 2*pi*p/N for p = 1..N/2, the last entry pinned to phi = pi exactly."""
-    p = np.arange(1, n_sites // 2 + 1, dtype=float)
-    phi = 2.0 * np.pi * p / n_sites
-    phi[-1] = np.pi
-    return phi
+        for name in ("gamma", "field_before", "field_after"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def grid_arrays(config: ChainConfig):
-    """phi_p and delta_p for p = 1..N/2 as arrays.
+    """phi_p = 2*pi*p/N and delta_p for p = 1..N/2 as arrays.
 
     The last entry is pinned to phi = pi, delta = 0 exactly; floating-point
     sin(pi) would otherwise leave a ~1e-16 residue that breaks exact
     degeneracy detection at the zone boundary.
     """
-    phi = momenta(config.n_sites)
+    phi = 2.0 * np.pi * np.arange(1, config.n_sites // 2 + 1, dtype=float) / config.n_sites
+    phi[-1] = np.pi
     delta = 2.0 * config.gamma * np.sin(phi)
     delta[-1] = 0.0
     return phi, delta
 
-
-def mode_grid(config: ChainConfig) -> list[Mode]:
-    """The N/2 momentum modes of the ring, in order of increasing phi."""
-    phi, delta = grid_arrays(config)
-    return [
-        Mode(p=i + 1, phi=float(phi[i]), delta=float(delta[i])) for i in range(len(phi))
-    ]

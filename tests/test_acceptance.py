@@ -34,7 +34,7 @@ from xyquench.entanglement import (
     two_site_state,
 )
 from xyquench.errors import InvalidStateError
-from xyquench.lattice import ChainConfig, mode_grid
+from xyquench.lattice import ChainConfig, dispersion, grid_arrays
 
 N_SURFACE = 2000
 N_SPOT = 4000
@@ -241,15 +241,16 @@ def test_criterion_07_closed_form_vs_integrator():
     while checked < 100:
         n = int(rng.choice([8, 12, 16, 24, 40]))
         gamma = float(rng.uniform(0.1, 2.0))
-        modes = mode_grid(ChainConfig(n, gamma, 0.0, 1.0, 1.0))
+        modes = list(zip(*grid_arrays(ChainConfig(n, gamma, 0.0, 1.0, 1.0))))
         k = rng.integers(len(modes))
         a, b = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        if modes[k].lambda_of(a) <= 1e-6 or modes[k].lambda_of(b) <= 1e-6:
+        phi = modes[k][0]
+        if dispersion(phi, a, gamma) <= 1e-6 or dispersion(phi, b, gamma) <= 1e-6:
             continue
         kt = float(rng.choice([0.0, rng.uniform(0.05, 2.0)]))
         t = float(rng.uniform(0, 20))
         blocks = mode_blocks(ChainConfig(n, gamma, kt, a, b), t)
-        numeric = evolve_mode_numeric(modes[k], a, b, kt, t, tol=1e-9)
+        numeric = evolve_mode_numeric(*modes[k], a, b, kt, t, tol=1e-9)
         closed = np.array([blocks.population[k], blocks.coherence[k]])
         worst = max(worst, float(np.max(np.abs(closed - [numeric[1, 1] - numeric[0, 0], numeric[0, 1]]))))
         checked += 1

@@ -145,11 +145,31 @@ def test_missing_config_file_exits_one(tmp_path):
         ["oracle-compare", "--n-list", ""],
         ["oracle-compare", "--n-list", "8,6"],
         ["oracle-compare", "--n-list", "6,6"],
+        ["timeseries", "--kt", "nan"],
+        ["timeseries", "--field-a", "nan"],
+        ["timeseries", "--gamma", "nan"],
+        ["timeseries", "--field-b", "inf"],
+        ["timeseries", "--t-end", "inf"],
+        ["timeseries", "--time-average", "nan"],
+        ["surface", "--grid-min", "nan"],
+        ["surface", "--grid-max", "-inf"],
+        ["oracle-compare", "--t-start", "nan"],
     ],
 )
 def test_invalid_values_exit_one(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err
+
+
+def test_non_finite_values_name_their_flag_and_kt_may_be_infinite(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field-b = nan\n")
+    assert main(["timeseries", "--config", str(cfg)]) == 1
+    assert "--field-b must be finite, got nan" in capsys.readouterr().err
+    assert main(["timeseries", "--kt", "nan"]) == 1
+    assert "--kt must be a number, got nan" in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    assert main(["timeseries", "--kt", "inf", "--n-sites", "20", "--t-steps", "3", "--out", str(out)]) == 0
 
 
 def test_unknown_command_and_flag_exit_one(capsys):

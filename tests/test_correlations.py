@@ -20,7 +20,7 @@ from xyquench.correlations import (
 )
 from xyquench import ed
 from xyquench.dynamics import spectral_mode_state
-from xyquench.lattice import ChainConfig, mode_grid
+from xyquench.lattice import ChainConfig, grid_arrays
 
 
 def _random_skew(rng, dim, complex_entries=True):
@@ -139,13 +139,12 @@ def test_contractions_are_sums_over_mode_states():
                 ChainConfig(10, 1.0, 0.8, 1.0, 1.0), ChainConfig(8, 1.0, 0.0, 1.0, 1.0),
                 ChainConfig(12, 0.8, 0.0, 1.0 - 1e-6, 0.4)]
     for c in configs:
-        modes = mode_grid(c)
-        phi = np.array([m.phi for m in modes])
+        phi, delta = grid_arrays(c)
         times = (0.0, float(rng.uniform(0, 20)), math.inf)
         batch = mode_blocks(c, times)
         for i, t in enumerate(times):
-            rho = np.array([spectral_mode_state(m, c.field_before, c.field_after, c.kt, t)
-                            for m in modes])
+            rho = np.array([spectral_mode_state(*m, c.field_before, c.field_after, c.kt, t)
+                            for m in zip(phi, delta)])
             blocks = mode_blocks(c, t)
             assert np.array_equal(batch.population[i], blocks.population)
             assert np.array_equal(batch.coherence[i], blocks.coherence)
@@ -166,7 +165,7 @@ def _gamma_from_mode_sums(config, t, d_max):
     """Gamma of one point, summed mode by mode from mode_blocks of that point alone."""
     with factor_scope():
         blocks = mode_blocks(config, t)
-    phi = np.array([m.phi for m in mode_grid(config)])
+    phi = grid_arrays(config)[0]
     gamma = np.zeros((d_max + 1, 2, d_max + 1, 2), dtype=complex)
     for s in range(d_max + 1):
         for s2 in range(d_max + 1):
@@ -223,12 +222,26 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
              lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
              lambda t: correlator_yy([config, config], 1, [t, 0.5]),
              lambda t: correlator_zz(config, 3, t))
-    names = ("_grid", "_dispersion", "_rotation", "_terms", "_tables", "_batch")
+    names = ("_grid", "_dispersion", "_rotation", "_terms", "_tables", "_batch", "_trig_table",
+             "contraction_table")
     for call in calls:
         for t in (1.3, math.inf):
             call(t)
             held = {name: getattr(correlations, name).cache_info().currsize for name in names}
             assert held == dict.fromkeys(names, 0)
+
+
+def test_contraction_table_counts_its_lookups_across_runs():
+    # Each run empties the cache; its hits and misses still add up, as the
+    # benchmark's hit ratio reads them after the run.
+    config = ChainConfig(12, 0.8, 0.3, 1.5, 0.5)
+    before = contraction_table.cache_info()
+    for _ in range(2):
+        with factor_scope():
+            contraction_table(config, 1.0, 2)
+            contraction_table(config, 1.0, 2)
+    after = contraction_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (2, 2, 0)
 
 
 def test_batches_take_matching_points_of_one_ring_size():

@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from xyquench import ed
-from xyquench.correlations import mode_blocks
+from xyquench import correlations
+from xyquench.correlations import factor_scope, mode_blocks
 from xyquench.dynamics import _mode_hamiltonian, evolve_mode_numeric, spectral_mode_state
-from xyquench.lattice import ChainConfig, mode_grid
+from xyquench.lattice import ChainConfig, dispersion, grid_arrays
 
 
 def _modes(n=10, gamma=1.0):
-    return mode_grid(ChainConfig(n, gamma, 0.0, 1.0, 1.0))
+    """The (phi, delta) of each grid mode."""
+    return list(zip(*grid_arrays(ChainConfig(n, gamma, 0.0, 1.0, 1.0))))
 
 
 def _random_mode(rng, gamma=None):
-    """A random grid mode, its ring size and anisotropy, and its index on the grid."""
+    """A random grid mode (phi, delta), its ring size and anisotropy, and its index on the grid."""
     n = int(rng.choice([6, 8, 12, 16]))
     g = float(rng.uniform(0.1, 2.0)) if gamma is None else gamma
-    modes = mode_grid(ChainConfig(n, g, 0.0, 1.0, 1.0))
+    modes = _modes(n, g)
     k = int(rng.integers(len(modes)))
     return modes[k], n, g, k
 
@@ -35,7 +37,7 @@ def test_thermal_infinite_temperature_is_uniform():
     assert np.max(np.abs(mode_blocks(c, 0.0).population)) < 1e-11
     assert np.max(np.abs(mode_blocks(c, 0.0).coherence)) < 1e-11
     for m in _modes():
-        mat = spectral_mode_state(m, 1.3, 1.3, 1e12, 0.0)
+        mat = spectral_mode_state(*m, 1.3, 1.3, 1e12, 0.0)
         assert np.allclose(np.diag(mat), 0.25, atol=1e-11)
         assert abs(mat[0, 1]) < 1e-11
 
@@ -43,12 +45,12 @@ def test_thermal_infinite_temperature_is_uniform():
 def test_thermal_zero_temperature_is_ground_projector():
     rng = np.random.default_rng(1)
     for _ in range(30):
-        m, n, g, k = _random_mode(rng)
+        (phi, delta), n, g, k = _random_mode(rng)
         a = float(rng.uniform(-1.0, 3.0))
-        if m.lambda_of(a) < 1e-9:
+        if dispersion(phi, a, g) < 1e-9:
             continue
         block = np.array(
-            [[2 * a, -1j * m.delta], [1j * m.delta, -4 * math.cos(m.phi) - 2 * a]]
+            [[2 * a, -1j * delta], [1j * delta, -4 * math.cos(phi) - 2 * a]]
         )
         vals, vecs = np.linalg.eigh(block)
         ground = vecs[:, [0]] @ vecs[:, [0]].conj().T
@@ -60,13 +62,13 @@ def test_thermal_trace_is_one():
     rng = np.random.default_rng(2)
     for _ in range(40):
         m = _random_mode(rng)[0]
-        st = spectral_mode_state(m, float(rng.uniform(0, 4)), 1.0, float(rng.uniform(0, 3)), 0.0)
+        st = spectral_mode_state(*m, float(rng.uniform(0, 4)), 1.0, float(rng.uniform(0, 3)), 0.0)
         assert np.trace(st).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_thermal_rejects_negative_temperature():
     with pytest.raises(ValueError):
-        spectral_mode_state(_modes()[0], 1.0, 1.0, -0.5, 0.0)
+        spectral_mode_state(*_modes()[0], 1.0, 1.0, -0.5, 0.0)
     with pytest.raises(ValueError):
         mode_blocks(ChainConfig(10, 1.0, -0.5, 1.0, 1.0), 0.0)
 
@@ -85,9 +87,9 @@ def test_thermal_weight_is_tanh_over_lambda_on_both_sides_of_the_series_switch()
 def test_thermal_zero_temperature_limit_is_continuous():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        m, n, g, k = _random_mode(rng)
+        (phi, _), n, g, k = _random_mode(rng)
         a = float(rng.uniform(0.0, 3.0))
-        if m.lambda_of(a) < 1e-3:
+        if dispersion(phi, a, g) < 1e-3:
             continue
         cold = _block(ChainConfig(n, g, 0.0, a, a), 0.0, k)
         errs = [
@@ -100,7 +102,7 @@ def test_thermal_zero_temperature_limit_is_continuous():
 def test_evolve_is_stationary_without_quench():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        m, n, g, k = _random_mode(rng)
+        _, n, g, k = _random_mode(rng)
         a = float(rng.uniform(0, 3))
         kt = float(rng.choice([0.0, rng.uniform(0.05, 2)]))
         c = ChainConfig(n, g, kt, a, a)
@@ -113,32 +115,31 @@ def test_evolve_preserves_trace_and_hermiticity():
     for _ in range(30):
         m = _random_mode(rng)[0]
         a, b = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        st = spectral_mode_state(m, a, b, float(rng.uniform(0, 2)), float(rng.uniform(0, 20)))
+        st = spectral_mode_state(*m, a, b, float(rng.uniform(0, 2)), float(rng.uniform(0, 20)))
         assert np.trace(st).real == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(st - st.conj().T)) < 1e-12
         assert min(np.linalg.eigvalsh(st)) > -1e-10
 
 
 def test_numeric_route_at_reference_quench():
-    modes = mode_grid(ChainConfig(8, 1.0, 0.5, 1.001, 0.5))
-    for m in modes[:2]:
+    for m in _modes(8)[:2]:
         for t in (0.5, 5.0, 20.0):
-            num = evolve_mode_numeric(m, 1.001, 0.5, 0.5, t, tol=1e-9)
-            exact = spectral_mode_state(m, 1.001, 0.5, 0.5, t)
+            num = evolve_mode_numeric(*m, 1.001, 0.5, 0.5, t, tol=1e-9)
+            exact = spectral_mode_state(*m, 1.001, 0.5, 0.5, t)
             assert np.max(np.abs(num - exact)) < 1e-8
 
 
 def test_numeric_route_t0_and_stationarity():
     m = _modes()[2]
-    st = ed.thermal_state(_mode_hamiltonian(m, 1.1), 0.3)
-    assert np.max(np.abs(evolve_mode_numeric(m, 1.1, 0.7, 0.3, 0.0) - st)) == 0
-    out = evolve_mode_numeric(m, 1.1, 1.1, 0.3, 8.0, tol=1e-9)
+    st = ed.thermal_state(_mode_hamiltonian(*m, 1.1), 0.3)
+    assert np.max(np.abs(evolve_mode_numeric(*m, 1.1, 0.7, 0.3, 0.0) - st)) == 0
+    out = evolve_mode_numeric(*m, 1.1, 1.1, 0.3, 8.0, tol=1e-9)
     assert np.max(np.abs(out - st)) < 1e-8
 
 
 def test_numeric_route_rejects_bad_tolerance():
     with pytest.raises(ValueError):
-        evolve_mode_numeric(_modes()[0], 1.0, 0.5, 0.0, 1.0, tol=0.0)
+        evolve_mode_numeric(*_modes()[0], 1.0, 0.5, 0.0, 1.0, tol=0.0)
 
 
 def test_asymptotic_equals_thermal_without_quench():
@@ -154,9 +155,9 @@ def test_asymptotic_equals_thermal_without_quench():
 def test_asymptotic_matches_windowed_average():
     rng = np.random.default_rng(9)
     for _ in range(8):
-        m, n, g, k = _random_mode(rng)
+        (phi, _), n, g, k = _random_mode(rng)
         a, b = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
-        if m.lambda_of(b) < 1e-3:
+        if dispersion(phi, b, g) < 1e-3:
             continue
         kt = float(rng.choice([0.0, rng.uniform(0.05, 2)]))
         c = ChainConfig(n, g, kt, a, b)
@@ -168,20 +169,20 @@ def test_asymptotic_matches_windowed_average():
 def test_asymptotic_degenerate_mode_stays_thermal():
     # gamma = 1, b = 1, phi = pi: Lambda(b) = 0 exactly, so the series limit
     # sin(2 t Lambda)/Lambda -> 2t applies and the mode never evolves.
-    m = _modes(8)[-1]
-    assert m.lambda_of(1.0) == 0.0
+    with factor_scope():
+        assert correlations._dispersion(8, 1.0, 1.0)[-1] == 0.0
     c = ChainConfig(8, 1.0, 0.4, 2.0, 1.0)
     for t in (3.7, math.inf):
         assert np.max(np.abs(_block(c, t, -1) - _block(c, 0.0, -1))) < 1e-14
 
 
 def test_mode_hamiltonian_structure():
-    m = _modes(8)[0]
-    ham = _mode_hamiltonian(m, 0.8)
+    phi, delta = _modes(8)[0]
+    ham = _mode_hamiltonian(phi, delta, 0.8)
     assert np.max(np.abs(ham - ham.conj().T)) == 0
     assert ham[0, 0] == pytest.approx(2 * 0.8)
-    assert ham[1, 1] == pytest.approx(-4 * math.cos(m.phi) - 2 * 0.8)
-    assert ham[2, 2] == ham[3, 3] == pytest.approx(-2 * math.cos(m.phi))
-    lam, c = m.lambda_of(0.8), math.cos(m.phi)
+    assert ham[1, 1] == pytest.approx(-4 * math.cos(phi) - 2 * 0.8)
+    assert ham[2, 2] == ham[3, 3] == pytest.approx(-2 * math.cos(phi))
+    lam, c = dispersion(phi, 0.8, 1.0), math.cos(phi)
     expected = [-2 * c - 2 * lam, -2 * c, -2 * c, -2 * c + 2 * lam]
     assert np.linalg.eigvalsh(ham) == pytest.approx(expected, rel=1e-12)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from xyquench.lattice import ChainConfig, dispersion, grid_arrays, mode_grid
+from xyquench import correlations
+from xyquench.correlations import factor_scope
+from xyquench.lattice import ChainConfig, dispersion, grid_arrays
 
 
 def test_dispersion_values():
@@ -37,21 +39,25 @@ def test_chain_config_validation():
         ChainConfig(5, 1.0, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         ChainConfig(8, 1.0, -0.1, 1.0, 0.5)
+    ChainConfig(8, 1.0, math.inf, 1.0, 0.5)  # the infinite-temperature state
+    for bad in ((math.nan, 0.0, 1.0, 0.5), (1.0, math.nan, 1.0, 0.5), (math.inf, 0.0, 1.0, 0.5),
+                (1.0, 0.0, math.nan, 0.5), (1.0, 0.0, -math.inf, 0.5), (1.0, 0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            ChainConfig(8, *bad)
 
 
 def test_mode_grid_small_chains():
-    phis4 = [m.phi for m in mode_grid(ChainConfig(4, 1.0, 0.0, 1.0, 1.0))]
+    phis4 = [phi for phi, _ in zip(*grid_arrays(ChainConfig(4, 1.0, 0.0, 1.0, 1.0)))]
     assert phis4 == pytest.approx([math.pi / 2, math.pi])
-    modes8 = mode_grid(ChainConfig(8, 1.0, 0.0, 1.0, 1.0))
-    assert [m.p for m in modes8] == [1, 2, 3, 4]
-    assert [m.phi for m in modes8] == pytest.approx(
+    modes8 = list(zip(*grid_arrays(ChainConfig(8, 1.0, 0.0, 1.0, 1.0))))
+    assert [phi for phi, _ in modes8] == pytest.approx(
         [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     )
 
 
 def test_mode_grid_is_pure():
     config = ChainConfig(16, 0.7, 0.2, 1.0, 2.0)
-    assert mode_grid(config) == mode_grid(config)
+    assert list(zip(*grid_arrays(config))) == list(zip(*grid_arrays(config)))
 
 
 def test_grid_pins_zone_boundary_exactly():
@@ -59,22 +65,26 @@ def test_grid_pins_zone_boundary_exactly():
     phi, delta = grid_arrays(ChainConfig(10, 1.0, 0.0, 1.0, 1.0))
     assert phi[-1] == math.pi
     assert delta[-1] == 0.0
-    m = mode_grid(ChainConfig(10, 1.0, 0.0, 1.0, 1.0))[-1]
-    assert m.delta == 0.0
-    assert m.lambda_of(1.0) == 0.0
-    assert m.lambda_of(3.0) == 2.0
+    # Production's Lambda row keeps the exact zero that DEGENERACY_EPS relies on.
+    with factor_scope():
+        assert correlations._dispersion(10, 1.0, 1.0)[-1] == 0.0
+        assert correlations._dispersion(10, 1.0, 3.0)[-1] == 2.0
 
 
 def test_mode_quantities():
     config = ChainConfig(12, 0.5, 0.0, 1.0, 1.0)
-    for m in mode_grid(config):
-        assert 0.0 < m.phi <= math.pi
-        assert m.delta == pytest.approx(2 * 0.5 * math.sin(m.phi), abs=1e-15)
-        for h in (-1.0, 0.0, 1.3):
-            assert m.lambda_of(h) >= 0.0
-            assert m.lambda_of(h) == pytest.approx(dispersion(m.phi, h, 0.5), abs=1e-14)
+    phi, delta = grid_arrays(config)
+    for p, d in zip(phi, delta):
+        assert 0.0 < p <= math.pi
+        assert d == pytest.approx(2 * 0.5 * math.sin(p), abs=1e-15)
+    with factor_scope():
+        for h in (-1.0, 0.0, 1.0, 1.3):
+            lam = correlations._dispersion(12, 0.5, h)
+            assert (lam >= 0.0).all()
+            assert lam[:-1] == pytest.approx([dispersion(p, h, 0.5) for p in phi[:-1]], abs=1e-14)
+            assert lam[-1] == abs(h - 1.0)  # phi = pi, where dispersion's sin(pi) leaves 1e-16
 
 
 def test_mode_count():
     for n in (4, 8, 30, 200):
-        assert len(mode_grid(ChainConfig(n, 1.0, 0.0, 0.0, 0.0))) == n // 2
+        assert len(list(zip(*grid_arrays(ChainConfig(n, 1.0, 0.0, 0.0, 0.0))))) == n // 2
