@@ -120,13 +120,6 @@ def _inverse(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _rotation(n_sites: int, gamma: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda_b and its _inverse per mode: what a finite t reads of field b."""
-    lam = _dispersion(n_sites, gamma, b)
-    return _read_only(lam, _inverse(lam, np.empty_like(lam)))
-
-
 @lru_cache(maxsize=1)
 def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     """(head, scale, row) of rho22 - rho11, Im rho12 and Re rho12 at field a.
@@ -183,20 +176,16 @@ def _runs(keys):
         start = stop
 
 
-class _Batch(NamedTuple):
-    """A batch in the factorised form of mode_blocks."""
-
-    # (gamma, kT, a), rows, b - a per point as a column and _terms, per run
-    # of consecutive points that share (gamma, kT, a)
-    runs: list
-    # w, x_b w and v as (points x modes) arrays; v is None when every point is
-    # dephased, where v = 0
-    columns: tuple
-
-
 @lru_cache(maxsize=1)
-def _batch(configs: tuple, times: tuple) -> _Batch:
-    """The last batch is cached, so its contraction table and its magnetization share it."""
+def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
+    """(runs, columns): a batch in the factorised form of mode_blocks.
+
+    runs holds (gamma, kT, a), rows, b - a per point as a column and _terms,
+    per run of consecutive points that share (gamma, kT, a).  columns holds w,
+    x_b w and v as (points x modes) arrays; v is None when every point is
+    dephased, where v = 0.  The last batch is cached, so its contraction table
+    and its magnetization share it.
+    """
     _batch.cache_clear()  # free the previous batch before allocating this one
     n = configs[0].n_sites
     cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
@@ -212,7 +201,8 @@ def _batch(configs: tuple, times: tuple) -> _Batch:
             np.add.outer([c.field_after for c in configs[rows]], cos, out=xw[rows])
             xw[rows] *= w[rows]
             continue
-        lam, inv = _rotation(n, *key)
+        lam = _dispersion(n, *key)
+        inv = _inverse(lam, np.empty_like(lam))
         t = np.array(times[rows])[:, None]
         arg = 2.0 * t * lam
         np.sin(arg, out=w[rows])
@@ -228,7 +218,7 @@ def _batch(configs: tuple, times: tuple) -> _Batch:
         np.multiply(w[rows], cos + key[1], out=xw[rows])
     runs = [(key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None],
              _terms(n, *key)) for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
-    return _Batch(runs, _read_only(w, xw, v))
+    return runs, _read_only(w, xw, v)
 
 
 _open_scopes = 0
@@ -282,11 +272,11 @@ def mode_blocks(config, t) -> ModeBlocks:
     read-only.
     """
     configs, times, single = _points(config, t)
-    batch = _batch(configs, times)
+    runs, columns = _batch(configs, times)
     n = configs[0].n_sites
     population, im, re = np.zeros((3, len(configs), n // 2))
-    for _, rows, gap, terms in batch.runs:
-        for out, (head, scale, row), column in zip((population, im, re), terms, batch.columns):
+    for _, rows, gap, terms in runs:
+        for out, (head, scale, row), column in zip((population, im, re), terms, columns):
             if column is not None:
                 out[rows] = scale * gap * row * column[rows]
             if head is not None:
@@ -306,11 +296,11 @@ def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np
     product per point: the same BLAS call for every batch size, so a point's
     sums do not depend on its batch.
     """
-    batch = _batch(configs, times)
+    runs, columns = _batch(configs, times)
     n = configs[0].n_sites
     sums = np.zeros((3, len(configs), d_max + 1))
-    for key, rows, gap, _ in batch.runs:
-        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), batch.columns):
+    for key, rows, gap, _ in runs:
+        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), columns):
             if head is not None:
                 out[rows] = head
             if column is not None:
@@ -326,12 +316,12 @@ def magnetization_z(config, t):
     That is the mode sum of rho22 - rho11 over N; C[0] weighs it by cos(0) = 1.
     """
     configs, times, single = _points(config, t)
-    batch = _batch(configs, times)
+    runs, columns = _batch(configs, times)
     n = configs[0].n_sites
     mz = np.empty(len(configs))
-    for _, rows, gap, terms in batch.runs:
+    for _, rows, gap, terms in runs:
         head, scale, row = terms[0]
-        column = batch.columns[0][rows, None, :]
+        column = columns[0][rows, None, :]
         mz[rows] = head.sum() + scale * gap[:, 0] * np.matmul(column, row[:, None])[:, 0, 0]
     mz /= n
     return float(mz[0]) if single else mz
@@ -380,7 +370,7 @@ def _table_lookups():
 
 
 contraction_table.cache_info = _table_lookups
-_FACTOR_CACHES = (_grid, _dispersion, _rotation, _terms, _tables, _batch, _trig_table, _gamma_cache)
+_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _batch, _trig_table, _gamma_cache)
 
 
 def pfaffian(m):
@@ -426,18 +416,17 @@ def pfaffian(m):
     return val[0] if single else val
 
 
-def _check_distance(config: ChainConfig, d: int):
+def _check_distance(d: int):
+    """d >= 1; contraction_table's _check_offset rejects d >= N."""
     if d < 1:
         raise ValueError(f"correlator distance must be >= 1, got {d}")
-    if d >= config.n_sites:
-        raise ValueError(f"distance {d} outside the ring of {config.n_sites} sites")
 
 
 @factor_scope()
 def _quarter_pfaffian(config, d: int, t, ops: list, prefactor: float):
     """prefactor/4 times the Pfaffian of Gamma's rows and columns ops, per point."""
     configs, times, single = _points(config, t)
-    _check_distance(configs[0], d)
+    _check_distance(d)
     idx = np.asarray(ops)
     gamma = contraction_table(configs, times, d)
     val = prefactor * pfaffian(gamma[:, idx[:, None], idx[None, :]]) / 4.0

@@ -88,11 +88,9 @@ def reduce_pair(state: np.ndarray, i: int, j: int) -> np.ndarray:
         raise ValueError(f"state dimension {dim} is not a power of two")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"need two distinct sites in 0..{n - 1}, got ({i}, {j})")
-    tensor = state.reshape((2,) * (2 * n))
-    order = [i, j] + [k for k in range(n) if k not in (i, j)]
-    tensor = tensor.transpose(order + [n + k for k in order])
-    tensor = tensor.reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-    return np.einsum("arbr->ab", tensor)
+    tensor, rows = state.reshape((2,) * (2 * n)), list(range(n))
+    columns = [n + k if k in (i, j) else k for k in range(n)]  # a traced site's column is its row
+    return np.einsum(tensor, rows + columns, [i, j, n + i, n + j]).reshape(4, 4)
 
 
 def magnetization(state: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from xyquench.correlations import (
     correlator_xx,
     correlator_yy,
     correlator_zz,
+    factor_scope,
     magnetization_z,
     mode_blocks,
     pfaffian,
@@ -355,17 +356,16 @@ def test_criterion_10_windowed_average_dephases():
         a, b = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         kt = float(rng.choice([0.0, rng.uniform(0.05, 2.0)]))
         config = ChainConfig(N_WINDOW, 1.0, kt, a, b)
-        sampled = np.array(
-            [
-                (
-                    magnetization_z(config, t),
-                    correlator_xx(config, 1, t),
-                    correlator_yy(config, 1, t),
-                    correlator_zz(config, 1, t),
-                )
-                for t in window
-            ]
-        )
+        # Each observable once over the whole window, as (times x observables).
+        with factor_scope():
+            sampled = np.column_stack(
+                [
+                    magnetization_z(config, window),
+                    correlator_xx(config, 1, window),
+                    correlator_yy(config, 1, window),
+                    correlator_zz(config, 1, window),
+                ]
+            )
         mz, sx, sy, sz = sampled.mean(axis=0)
         averaged = concurrence_x(two_site_state(mz, sx, sy, sz))
         dephased = pair_observables(config, 1, math.inf)

@@ -305,6 +305,32 @@ def test_numerical_failure_names_its_point(capsys):
     assert "exceeds sqrt(rho11 rho44) = 2.499998e-01 by 2.5e-07" in err
 
 
+def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):
+    # A physical run, with S^z set to 0.5 (so rho22 = 1/4 - S^z = -1/4) at two
+    # points: the first in the second chunk, the second in a later one.  The
+    # trigger does not depend on any defect of the momentum grid.
+    argv = ["surface", "--n-sites", "2000", "--kt", "0.5", "--grid-min", "0.5",
+            "--grid-max", "1.5", "--grid-steps", "9", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    grid = np.linspace(0.5, 1.5, 9)
+    points = [(float(a), float(b)) for a in grid for b in grid]
+    size = cli.CHUNK_ELEMENTS // 1000
+    first = size + 7
+    bad = {points[first], points[2 * size]}
+
+    def injected(configs, d, times, _zz=cli.correlator_zz):
+        hit = [(c.field_before, c.field_after) in bad for c in configs]
+        return np.where(hit, 0.5, _zz(configs, d, times))
+
+    monkeypatch.setattr(cli, "correlator_zz", injected)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: rho22 = -2.500000e-01 is negative beyond 1e-10" in err
+    a, b = points[first]
+    assert f"(at N = 2000, kT = 0.5, a = {a}, b = {b}, d = 1, t = inf)" in err
+
+
 def test_flat_error_schedule_exits_three(capsys):
     # At infinite temperature every observable is exactly zero for all n, so
     # the oracle error cannot strictly decrease.

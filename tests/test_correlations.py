@@ -222,7 +222,7 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
              lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
              lambda t: correlator_yy([config, config], 1, [t, 0.5]),
              lambda t: correlator_zz(config, 3, t))
-    names = ("_grid", "_dispersion", "_rotation", "_terms", "_tables", "_batch", "_trig_table",
+    names = ("_grid", "_dispersion", "_terms", "_tables", "_batch", "_trig_table",
              "contraction_table")
     for call in calls:
         for t in (1.3, math.inf):
