@@ -17,11 +17,12 @@ quadratic fermion problem).
 
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
-length, or one of the two as a single value that every point shares.  A batch
-is evaluated as (points x modes) arrays of its (b, t) columns and gives
-results with a leading points axis; one point is the batch of one and gives
-its entry.  Pass sequences to the cached contraction_table as tuples.  The
-batches evaluated inside one factor_scope share each field's mode factors.
+length, or one of the two as a single value that every point shares; a
+sequence may be a list, a tuple or a numpy array, and a NaN time is invalid.
+A batch is evaluated as (points x modes) arrays of its (b, t) columns and
+gives results with a leading points axis; one point is the batch of one and
+gives its entry.  The batches evaluated inside one factor_scope share each
+field's mode factors.
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -72,6 +73,8 @@ def _points(config, t):
         times *= len(configs)
     if not configs or len(configs) != len(times):
         raise ValueError(f"a batch needs as many configs as times, got {len(configs)} and {len(times)}")
+    if any(map(math.isnan, times)):
+        raise ValueError("a time of the batch is NaN")
     if len({c.n_sites for c in configs}) > 1:
         raise ValueError("the points of a batch must share one ring size")
     return configs, times, one_config and one_time
@@ -327,22 +330,11 @@ def magnetization_z(config, t):
     return float(mz[0]) if single else mz
 
 
-def _check_offset(config: ChainConfig, d_max: int):
-    if not 0 <= d_max < config.n_sites:
-        raise ValueError(f"offset {d_max} outside the ring of {config.n_sites} sites")
-
-
-@factor_scope()
 @lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings share
-def contraction_table(config, t, d_max: int) -> np.ndarray:
-    """Skew contraction matrix Gamma over (A_0, B_0, ..., A_{d_max}, B_{d_max}).
-
-    Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
-    the diagonal is zero.  A batch gives a (points, 2 d_max + 2, 2 d_max + 2)
-    stack.  The array is cached while the run lasts and is read-only.
-    """
-    configs, times, single = _points(config, t)
-    _check_offset(configs[0], d_max)
+def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
+    """contraction_table's stack for the points of _points."""
+    if not 0 <= d_max < configs[0].n_sites:
+        raise ValueError(f"offset {d_max} outside the ring of {configs[0].n_sites} sites")
     site = np.arange(d_max + 1)
     c, s, im = _offset_sums(configs, times, d_max)
     offset = site[None, :] - site[:, None]
@@ -356,21 +348,30 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
     gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]
     gamma[:, :, 0, :, 1] = sign * s[:, k] - c[:, k]  # <A_s B_s'>
     gamma[:, :, 1, :, 0] = sign * s[:, k] + c[:, k]  # <B_s A_s'>
-    gamma = _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))[0]
+    return _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))[0]
+
+
+@factor_scope()
+def contraction_table(config, t, d_max: int) -> np.ndarray:
+    """Skew contraction matrix Gamma over (A_0, B_0, ..., A_{d_max}, B_{d_max}).
+
+    Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
+    the diagonal is zero.  A batch gives a (points, 2 d_max + 2, 2 d_max + 2)
+    stack.  The array is cached while the run lasts and is read-only.
+    """
+    configs, times, single = _points(config, t)
+    gamma = _gamma(configs, times, d_max)
     return gamma[0] if single else gamma
 
 
-_gamma_cache = contraction_table.__wrapped__
-
-
 def _table_lookups():
-    """contraction_table.cache_info(), with the hits and misses that each run's cache_clear reset."""
-    info = _gamma_cache.cache_info()
+    """_gamma.cache_info(), with the hits and misses that each run's cache_clear reset."""
+    info = _gamma.cache_info()
     return info._replace(hits=info.hits + _ended_lookups[0], misses=info.misses + _ended_lookups[1])
 
 
 contraction_table.cache_info = _table_lookups
-_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _batch, _trig_table, _gamma_cache)
+_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _batch, _trig_table, _gamma)
 
 
 def pfaffian(m):
@@ -416,17 +417,11 @@ def pfaffian(m):
     return val[0] if single else val
 
 
-def _check_distance(d: int):
-    """d >= 1; contraction_table's _check_offset rejects d >= N."""
-    if d < 1:
-        raise ValueError(f"correlator distance must be >= 1, got {d}")
-
-
-@factor_scope()
 def _quarter_pfaffian(config, d: int, t, ops: list, prefactor: float):
     """prefactor/4 times the Pfaffian of Gamma's rows and columns ops, per point."""
     configs, times, single = _points(config, t)
-    _check_distance(d)
+    if d < 1:  # contraction_table rejects d >= N
+        raise ValueError(f"correlator distance must be >= 1, got {d}")
     idx = np.asarray(ops)
     gamma = contraction_table(configs, times, d)
     val = prefactor * pfaffian(gamma[:, idx[:, None], idx[None, :]]) / 4.0

@@ -48,16 +48,12 @@ def spectral_mode_state(phi: float, delta: float, a: float, b: float, kt: float,
     return vecs @ (keep * (vecs.conj().T @ rho0 @ vecs)) @ vecs.conj().T
 
 
-def evolve_mode_numeric(
-    phi: float, delta: float, a: float, b: float, kt: float, t: float, tol: float = 1e-9
-) -> np.ndarray:
+def evolve_mode_numeric(phi: float, delta: float, a: float, b: float, kt: float, t: float) -> np.ndarray:
     """4x4 state of the mode (phi, delta) at time t, by integrating the von Neumann equation.
 
     Starts from the same Gibbs state as spectral_mode_state but never
-    diagonalizes H(b).  tol sets the integrator error control.
+    diagonalizes H(b).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     state0 = ed.thermal_state(_mode_hamiltonian(phi, delta, a), kt)
     if t == 0:
         return state0
@@ -72,8 +68,8 @@ def evolve_mode_numeric(
         (0.0, t),
         state0.ravel(),
         method="DOP853",
-        rtol=max(tol * 1e-2, 2.5e-14),
-        atol=max(tol * 1e-3, 1e-14),
+        rtol=1e-11,
+        atol=1e-12,
     )
     if not sol.success:
         raise IntegrationError(f"mode integration failed: {sol.message}")

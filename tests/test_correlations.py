@@ -19,6 +19,7 @@ from xyquench.correlations import (
     pfaffian,
 )
 from xyquench import ed
+from xyquench.cli import pair_observables
 from xyquench.dynamics import spectral_mode_state
 from xyquench.lattice import ChainConfig, grid_arrays
 
@@ -254,6 +255,17 @@ def test_batches_take_matching_points_of_one_ring_size():
         magnetization_z([c, ChainConfig(16, 0.8, 0.3, 1.5, 0.5)], 2.0)
     with pytest.raises(ValueError):
         correlator_xx([], 1, [])
+    # A batch of times may be any sequence; NaN is no time.
+    times = (0.0, 1.0, math.inf)
+    for call in (lambda t: np.array(mode_blocks(c, t)), lambda t: magnetization_z(c, t),
+                 lambda t: contraction_table(c, t, 2), lambda t: correlator_xx(c, 2, t),
+                 lambda t: correlator_yy(c, 2, t), lambda t: correlator_zz(c, 2, t)):
+        stack = call(times)
+        for same in (list(times), np.array(times)):
+            assert np.array_equal(call(same), stack)
+        for bad in (math.nan, [1.0, math.nan], np.array([math.nan, 2.0])):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 def test_magnetization_is_half_ba_zero():
@@ -340,6 +352,10 @@ def test_correlator_distance_validation():
         with pytest.raises(ValueError):
             corr(c, 8, 1.0)
         corr(c, 7, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            corr(c, 0, math.nan)  # the point is checked before the distance
+    with pytest.raises(ValueError):
+        pair_observables(c, 1, math.nan)
 
 
 def test_ring_periodicity_of_ba_and_zz():
