@@ -50,8 +50,8 @@ AVERAGE_SAMPLES = 200
 # Points x modes in one chunk of a batched evaluation: 4 times at N = 20000,
 # 40 points at N = 2000.  It bounds the chunk's (points x modes) arrays, the
 # (b, t) columns of correlations.mode_blocks at 8 bytes per element each: w
-# and x_b w, and v at finite t, plus the sin temporaries there; at 60000 the
-# peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
+# and x_b w, and v at finite t, formed with no other (points x modes) array;
+# at 60000 the peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
 CHUNK_ELEMENTS = 40000
 
 
@@ -227,7 +227,8 @@ def run_oracle_compare(spec: RunSpec):
             err = max(err, abs(c - c_ed))
         worst.append(err)
         print(f"n={n}: max |C - C_ed| = {err:.6f}", file=sys.stderr)
-    ok = all(worst[i] > worst[i + 1] for i in range(len(worst) - 1))
+    # A size whose routes agree exactly (error 0.0) cannot improve on that.
+    ok = all(nxt == 0.0 or prev > nxt for prev, nxt in zip(worst, worst[1:]))
     if not ok:
         print("oracle error schedule is not strictly decreasing with n", file=sys.stderr)
     return columns, rows, 0 if ok else 3

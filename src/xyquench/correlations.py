@@ -186,8 +186,11 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
     runs holds (gamma, kT, a), rows, b - a per point as a column and _terms,
     per run of consecutive points that share (gamma, kT, a).  columns holds w,
     x_b w and v as (points x modes) arrays; v is None when every point is
-    dephased, where v = 0.  The last batch is cached, so its contraction table
-    and its magnetization share it.
+    dephased, where v = 0.  At finite t both sines come from one
+    u = tan(2 t Lambda_b), sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
+    sin(4 t Lambda_b) = 2u/(1 + u^2), in the columns' own buffers: no other
+    (points x modes) array is made.  The last batch is cached, so its
+    contraction table and its magnetization share it.
     """
     _batch.cache_clear()  # free the previous batch before allocating this one
     n = configs[0].n_sites
@@ -207,13 +210,19 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
         lam = _dispersion(n, *key)
         inv = _inverse(lam, np.empty_like(lam))
         t = np.array(times[rows])[:, None]
-        arg = 2.0 * t * lam
-        np.sin(arg, out=w[rows])
-        w[rows] *= inv
-        w[rows] *= w[rows]
-        arg *= 2.0
-        np.sin(arg, out=v[rows])
-        v[rows] *= inv
+        # u in v, u^2 in w and 1 + u^2 in xw, which its own value overwrites
+        # below.  Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2
+        # would magnify that.
+        u, sq, den = v[rows], w[rows], xw[rows]
+        np.multiply(2.0 * t, lam, out=u)
+        np.tan(u, out=u)
+        np.multiply(u, u, out=sq)
+        np.add(sq, 1.0, out=den)
+        sq /= den
+        sq *= inv
+        sq *= inv
+        u /= den
+        u *= 2.0 * inv
         frozen = lam < SERIES_EPS
         if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
             w[rows, frozen] = (2.0 * t) ** 2

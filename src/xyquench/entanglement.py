@@ -77,9 +77,13 @@ def two_site_state(mz: float, sx: float, sy: float, sz: float) -> TwoSiteState:
     """Assemble the pair state from M_z and the three same-axis correlators.
 
     Uses the uniform-chain form (both sites share the magnetization mz).
-    Violations of trace or positivity beyond tolerance raise instead of being
-    silently repaired.
+    Non-finite inputs and violations of trace or positivity beyond tolerance
+    raise instead of being silently repaired.
     """
+    if not math.isfinite(mz + sx + sy + sz):  # one test per state: NaN and inf survive the sum
+        for label, value in (("M_z", mz), ("S^x", sx), ("S^y", sy), ("S^z", sz)):
+            if not math.isfinite(value):
+                raise InvalidStateError(f"{label} = {value} is not finite")
     rho11 = _clamped_diag(mz + sz + 0.25, "rho11")
     rho22 = _clamped_diag(-sz + 0.25, "rho22")
     rho44 = _clamped_diag(-mz + sz + 0.25, "rho44")

@@ -331,13 +331,53 @@ def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):
     assert f"(at N = 2000, kT = 0.5, a = {a}, b = {b}, d = 1, t = inf)" in err
 
 
-def test_flat_error_schedule_exits_three(capsys):
-    # At infinite temperature every observable is exactly zero for all n, so
-    # the oracle error cannot strictly decrease.
-    code = main(["oracle-compare", "--kt", "1000000", "--n-list", "4,6",
-                 "--t-steps", "2", "--t-end", "1.0"])
+def _oracle_errors(tmp_path, monkeypatch, capsys, kt, c_ed):
+    """Exit code and stderr of oracle-compare at n = 4, 6 with two times each,
+    the ED concurrences replaced by c_ed (in call order) when given."""
+    if c_ed is not None:
+        values = iter(c_ed)
+        monkeypatch.setattr(cli, "concurrence_general", lambda rho: next(values))
+    capsys.readouterr()
+    code = main(["oracle-compare", "--kt", kt, "--n-list", "4,6", "--t-steps", "2",
+                 "--t-end", "1.0", "--out", str(tmp_path / "o.csv")])
+    return code, capsys.readouterr().err
+
+
+def test_flat_error_schedule_exits_three(tmp_path, monkeypatch, capsys):
+    # At a high temperature the pipeline's C is exactly zero for all n; an ED
+    # concurrence of 1/4 at every point makes the error 0.25 at both sizes,
+    # which does not strictly decrease.
+    code, err = _oracle_errors(tmp_path, monkeypatch, capsys, "1000000", [0.25] * 4)
     assert code == 3
-    assert "not strictly decreasing" in capsys.readouterr().err
+    assert "not strictly decreasing" in err
+
+
+@pytest.mark.parametrize("kt", ["1000000", "inf"])
+def test_exact_agreement_satisfies_the_schedule(tmp_path, monkeypatch, capsys, kt):
+    # Both states are (nearly) maximally mixed, so C = C_ed = 0 exactly at
+    # both sizes: an error of 0.0 cannot decrease further and passes.
+    code, err = _oracle_errors(tmp_path, monkeypatch, capsys, kt, None)
+    assert code == 0
+    assert "n=4: max |C - C_ed| = 0.000000" in err and "n=6: max |C - C_ed| = 0.000000" in err
+
+
+def test_error_after_exact_agreement_exits_three(tmp_path, monkeypatch, capsys):
+    # Exact agreement at n = 4, then an error of 0.25 at n = 6.
+    code, err = _oracle_errors(tmp_path, monkeypatch, capsys, "inf", [0.0, 0.0, 0.25, 0.25])
+    assert code == 3
+    assert "n=6: max |C - C_ed| = 0.250000" in err and "not strictly decreasing" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_time_is_a_located_failure(tmp_path, capsys):
+    # At t = 1e308 the phase 2 t Lambda overflows and the correlators are NaN:
+    # the run fails on the state's first non-finite input, at that time.
+    code = main(["timeseries", "--n-sites", "8", "--t-end", "1e308", "--t-steps", "2",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: M_z = nan is not finite" in err
+    assert "(at N = 8, kT = 0.0, a = 1.0, b = 1.0, d = 1, t = 1e+308)" in err
 
 
 # ------------------------------------------------------- batched evaluation

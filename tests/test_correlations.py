@@ -1,6 +1,7 @@
 """Pfaffians, elementary contractions, and string correlators."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,55 @@ def test_contractions_are_sums_over_mode_states():
                 aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
                 assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
                 assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
+
+
+def test_finite_time_columns_near_the_poles_of_tan():
+    # _batch forms w = sin^2(2 t L)/L^2 and v = sin(4 t L)/L from one
+    # u = tan(2 t L).  The times put 2 t L of mode 1 within an ulp of pi/2
+    # (|u| ~ 1e16, both signs) and of pi (u ~ 1e-16, both signs); b = 1 freezes
+    # the phi = pi mode (L = 0), which takes the series limits instead.
+    config = ChainConfig(8, 2.0, 0.3, 0.4, 1.0)
+    phi, delta = grid_arrays(config)
+    lam = np.hypot(np.cos(phi) + config.field_after, 0.5 * delta)
+    assert lam[-1] < correlations.SERIES_EPS <= lam[:-1].min()
+    times = []
+    for angle in (math.pi / 2, math.pi):
+        t = angle / (2.0 * lam[1])
+        times += [t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0))]
+    u = np.tan(2.0 * np.array(times) * lam[1])
+    assert np.abs(u[:3]).min() > 1e15 and u[:3].min() < 0.0 < u[:3].max()
+    assert np.abs(u[3:]).max() < 1e-15 and u[3:].min() < 0.0 < u[3:].max()
+    with factor_scope():
+        _, (w, _, v) = correlations._batch((config,) * len(times), tuple(times))
+        blocks = mode_blocks(config, times)
+    for i, t in enumerate(times):
+        arg = 2.0 * t * lam[:-1]
+        assert np.max(np.abs(w[i, :-1] - np.sin(arg) ** 2 / lam[:-1] ** 2)) <= 1e-15
+        assert np.max(np.abs(v[i, :-1] - np.sin(2.0 * arg) / lam[:-1])) <= 1e-15
+        assert (w[i, -1], v[i, -1]) == ((2.0 * t) ** 2, 4.0 * t)
+        rho = np.array([spectral_mode_state(*m, config.field_before, config.field_after,
+                                            config.kt, t) for m in zip(phi, delta)])
+        assert np.max(np.abs(blocks.population[i] - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
+        assert np.max(np.abs(blocks.coherence[i] - rho[:, 0, 1])) < 1e-13
+
+
+def test_a_finite_time_chunk_allocates_only_its_columns():
+    # One timeseries chunk at N = 20000: 4 points x 10000 modes.  Beyond its
+    # three (points x modes) columns w, x_b w and v, _batch may allocate only
+    # rows over the modes (1/Lambda_b and the like), fewer than one column's
+    # worth; a (points x modes) temporary would cross the bound.
+    config = ChainConfig(20000, 1.0, 0.5, 1.001, 0.5)
+    modes = config.n_sites // 2
+    with factor_scope():
+        correlations._batch((config,) * 4, (1.0, 2.0, 3.0, 4.0))  # the a and b factors
+        correlations._batch.cache_clear()
+        tracemalloc.start()
+        try:
+            correlations._batch((config,) * 4, (5.0, 6.0, 7.0, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3 * 4 * modes * 8 + 3 * modes * 8
 
 
 def _gamma_from_mode_sums(config, t, d_max):

@@ -1,6 +1,7 @@
 """X-state assembly, concurrence (both routes), and entanglement of formation."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_assembly_rejects_x_positivity_violation():
         two_site_state(mz=0.0, sx=0.4, sy=-0.4, sz=0.2)
     with pytest.raises(InvalidStateError, match=r"rho23.* by 3\.5e-01$"):
         two_site_state(mz=0.0, sx=0.4, sy=0.4, sz=-0.2)
+
+
+def test_assembly_rejects_non_finite_inputs():
+    # Every NaN comparison is False, so a NaN would pass each gate below and
+    # come out as C = 0; it is rejected first, by name.
+    for args, label in (((0.0, math.nan, 0.0, 0.0), "S^x"), ((math.nan, 0.0, 0.0, 0.0), "M_z"),
+                        ((0.0, 0.0, -math.inf, 0.0), "S^y"), ((0.0, 0.0, 0.0, math.inf), "S^z")):
+        with pytest.raises(InvalidStateError, match=rf"^{re.escape(label)} = .* is not finite$"):
+            two_site_state(*args)
 
 
 def test_assembly_clamps_rounding_debris():
