@@ -18,7 +18,8 @@ quadratic fermion problem).
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares; a
-sequence may be a list, a tuple or a numpy array, and a NaN time is invalid.
+sequence may be a list, a tuple or a numpy array.  A NaN time is invalid, and
+so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _batch).
 A batch is evaluated as (points x modes) arrays of its (b, t) columns and
 gives results with a leading points axis; one point is the batch of one and
 gives its entry.  The batches evaluated inside one factor_scope share each
@@ -160,7 +161,7 @@ def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.
 def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
     """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
 
-    The tables are those of C, S and I: cos, sin and sin (see _offset_sums).
+    The tables are those of C, S and I: cos, sin and sin (see _gamma).
     Only the last a is kept, as for _terms.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
@@ -208,6 +209,11 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
             xw[rows] *= w[rows]
             continue
         lam = _dispersion(n, *key)
+        lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
+        late = [t for t in times[rows] if 2.0 * abs(t) * lam_max >= 2.0**33]
+        if late:  # past 2^33 one ulp of the phase exceeds 1e-6 rad
+            raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
+                             "where one ulp exceeds 1e-6 rad")
         inv = _inverse(lam, np.empty_like(lam))
         t = np.array(times[rows])[:, None]
         # u in v, u^2 in w and 1 + u^2 in xw, which its own value overwrites
@@ -280,7 +286,7 @@ def mode_blocks(config, t) -> ModeBlocks:
     Dephased, w = 1/(2 Lambda_b^2) and v = 0; modes with Lambda_b below
     SERIES_EPS take the series limits w = (2t)^2, v = 4t and never dephase
     (w = 0).  The contraction sums read the same factors as bilinear forms
-    (_offset_sums).  For a batch the arrays are (points x modes).  They are
+    (_gamma).  For a batch the arrays are (points x modes).  They are
     read-only.
     """
     configs, times, single = _points(config, t)
@@ -295,30 +301,6 @@ def mode_blocks(config, t) -> ModeBlocks:
                 out[rows] += head
     blocks = ModeBlocks(*_read_only(population, re + 1j * im))
     return ModeBlocks(*(x[0] for x in blocks)) if single else blocks
-
-
-def _offset_sums(configs, times, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C, S and I at offsets 0..d_max, as (points x offsets) arrays.
-
-    <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
-    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11) by cos(d phi),
-    S weighs 4 Im rho12 and I weighs -4 Re rho12 by sin(d phi).  Per run of
-    points sharing a, each sum is head @ table.T plus the bilinear form
-    column @ (table * row).T, taken as one (1 x modes) @ (modes x offsets)
-    product per point: the same BLAS call for every batch size, so a point's
-    sums do not depend on its batch.
-    """
-    runs, columns = _batch(configs, times)
-    n = configs[0].n_sites
-    sums = np.zeros((3, len(configs), d_max + 1))
-    for key, rows, gap, _ in runs:
-        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), columns):
-            if head is not None:
-                out[rows] = head
-            if column is not None:
-                out[rows] += scale * gap * np.matmul(column[rows, None, :], table)[:, 0]
-    population, im, re = sums
-    return 2.0 * population / n, 4.0 * im / n, -4.0 * re / n
 
 
 @factor_scope()
@@ -341,11 +323,29 @@ def magnetization_z(config, t):
 
 @lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings share
 def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
-    """contraction_table's stack for the points of _points."""
-    if not 0 <= d_max < configs[0].n_sites:
-        raise ValueError(f"offset {d_max} outside the ring of {configs[0].n_sites} sites")
+    """contraction_table's stack for the points of _points, from the sums C, S and I.
+
+    <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
+    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11) by cos(d phi),
+    S weighs 4 Im rho12 and I weighs -4 Re rho12 by sin(d phi).  Per run of
+    points sharing a, each sum over d = 0..d_max is head @ table.T plus the
+    bilinear form column @ (table * row).T, taken as one (1 x modes) @
+    (modes x offsets) product per point: the same BLAS call for every batch
+    size, so a point's sums do not depend on its batch.
+    """
+    n = configs[0].n_sites
+    if not 0 <= d_max < n:
+        raise ValueError(f"offset {d_max} outside the ring of {n} sites")
+    runs, columns = _batch(configs, times)
+    sums = np.zeros((3, len(configs), d_max + 1))
+    for key, rows, gap, _ in runs:
+        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), columns):
+            if head is not None:
+                out[rows] = head
+            if column is not None:
+                out[rows] += scale * gap * np.matmul(column[rows, None, :], table)[:, 0]
+    c, s, im = 2.0 * sums[0] / n, 4.0 * sums[1] / n, -4.0 * sums[2] / n
     site = np.arange(d_max + 1)
-    c, s, im = _offset_sums(configs, times, d_max)
     offset = site[None, :] - site[:, None]
     k, sign = np.abs(offset), np.sign(offset)
     gamma = np.empty((len(configs), d_max + 1, 2, d_max + 1, 2), dtype=complex)
@@ -411,9 +411,8 @@ def pfaffian(m):
         pivot = k + 1 + np.abs(a[:, k + 1 :, k]).argmax(axis=1)
         swap = pivot != k + 1
         if swap.any():
-            perm = np.tile(np.arange(n), (count, 1))
-            perm[rows, k + 1], perm[rows, pivot] = pivot, k + 1
-            a = a[rows[:, None, None], perm[:, :, None], perm[:, None, :]]
+            a[rows, k + 1], a[rows, pivot] = a[rows, pivot], a[rows, k + 1]
+            a[rows, :, k + 1], a[rows, :, pivot] = a[rows, :, pivot], a[rows, :, k + 1]
             val[swap] = -val[swap]
         zero |= a[:, k + 1, k] == 0.0
         head = np.where(zero, 1.0, a[:, k, k + 1])
@@ -428,18 +427,18 @@ def pfaffian(m):
 
 def _quarter_pfaffian(config, d: int, t, ops: list, prefactor: float):
     """prefactor/4 times the Pfaffian of Gamma's rows and columns ops, per point."""
-    configs, times, single = _points(config, t)
-    if d < 1:  # contraction_table rejects d >= N
+    gamma = contraction_table(config, t, d)  # checks the points first, and d < N
+    if d < 1:
         raise ValueError(f"correlator distance must be >= 1, got {d}")
     idx = np.asarray(ops)
-    gamma = contraction_table(configs, times, d)
-    val = prefactor * pfaffian(gamma[:, idx[:, None], idx[None, :]]) / 4.0
+    val = prefactor * pfaffian(gamma[..., idx[:, None], idx]) / 4.0
     bad = np.flatnonzero(np.abs(val.imag) > IMAG_TOL)
     if bad.size:
+        configs, times, _ = _points(config, t)
         i = bad[0]
-        error = NumericalError(f"correlator imaginary residue {val.imag[i]:.3e} exceeds {IMAG_TOL}")
+        error = NumericalError(f"correlator imaginary residue {np.ravel(val.imag)[i]:.3e} exceeds {IMAG_TOL}")
         raise at_point(error, configs[i], d, times[i])
-    return float(val.real[0]) if single else val.real
+    return float(val.real) if gamma.ndim == 2 else val.real
 
 
 def correlator_xx(config, d: int, t):

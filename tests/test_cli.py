@@ -12,7 +12,7 @@ import pytest
 
 from xyquench import cli, correlations
 from xyquench.cli import RunSpec, _cell, _evaluate, build_spec, main, pair_observables
-from xyquench.errors import InvalidStateError
+from xyquench.errors import InvalidStateError, NumericalError
 from xyquench.lattice import ChainConfig
 
 QUENCH = ("--field-a", "1.001", "--field-b", "0.5", "--kt", "0.5")
@@ -121,6 +121,14 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
     cfg.write_text("n-sites 8\n")
     assert main(["timeseries", "--config", str(cfg)]) == 1
     assert ":1:" in capsys.readouterr().err
+
+
+def test_config_file_format_is_validated(tmp_path, capsys):
+    # --format has no argparse choices; RunSpec.validate rejects a file's value.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    assert main(["timeseries", "--config", str(cfg)]) == 1
+    assert "--format must be csv or json, got 'xml'" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_one(tmp_path):
@@ -331,6 +339,72 @@ def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):
     assert f"(at N = 2000, kT = 0.5, a = {a}, b = {b}, d = 1, t = inf)" in err
 
 
+def _inject_zz(monkeypatch, bad):
+    """Set S^z = 0.5 (so rho22 = -1/4) at the points whose time is in bad."""
+    def injected(configs, d, times, _zz=cli.correlator_zz):
+        return np.where(np.isin(times, bad), 0.5, _zz(configs, d, times))
+
+    monkeypatch.setattr(cli, "correlator_zz", injected)
+
+
+def test_injected_failure_in_oracle_compare_names_its_point(monkeypatch, capsys, tmp_path):
+    # A physical oracle-compare run, broken at t = 3 of every ring: the first
+    # ring, n = 6, is the one named, after its ED series ran.
+    argv = ["oracle-compare", *QUENCH, "--n-list", "6,8", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    _inject_zz(monkeypatch, [3.0])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: rho22 = -2.500000e-01 is negative beyond 1e-10" in err
+    assert "(at N = 6, kT = 0.5, a = 1.001, b = 0.5, d = 1, t = 3.0)" in err
+
+
+@pytest.mark.parametrize("chunk", [0, 2])
+def test_injected_failure_mid_chunk_names_its_first_point(monkeypatch, chunk):
+    # Physical dephased points at kT = 0.5 with two finite-time points broken
+    # by injection, the first mid-chunk and the second later in that chunk.
+    size = cli.CHUNK_ELEMENTS // 1000
+    first_bad = chunk * size + size // 3
+    fields = [(0.5 + 0.1 * (i % 9), 0.6 + 0.1 * (i % 7)) for i in range(3 * size)]
+    times = [math.inf] * len(fields)
+    times[first_bad], times[first_bad + size // 3] = 1.5, 2.5
+    configs = [ChainConfig(2000, 1.0, 0.5, a, b) for a, b in fields]
+    _evaluate(configs, 1, times)
+    _inject_zz(monkeypatch, [1.5, 2.5])
+    with pytest.raises(InvalidStateError) as info:
+        _evaluate(configs, 1, times)
+    a, b = fields[first_bad]
+    assert str(info.value).endswith(f"(at N = 2000, kT = 0.5, a = {a}, b = {b}, d = 1, t = 1.5)")
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_imaginary_residue_names_its_point(monkeypatch, batch):
+    # +-1e-6 i on the antisymmetric pair (1, 2), (2, 1) of one point's Gamma:
+    # the d = 1 S^x string is Gamma[1, 2] alone, so its residue is 2.5e-7.
+    table = correlations.contraction_table
+
+    def skewed(config, t, d):
+        gamma = table(config, t, d).copy()
+        stack = gamma if gamma.ndim == 3 else gamma[None]
+        hit = np.flatnonzero(np.atleast_1d(t) == 1.25)
+        stack[hit, 1, 2] += 1e-6j
+        stack[hit, 2, 1] -= 1e-6j
+        return gamma
+
+    monkeypatch.setattr(correlations, "contraction_table", skewed)
+    times = [0.5, 1.0, 1.25, 2.0] if batch else [1.25]
+    configs = [ChainConfig(16, 1.0, 0.5, 1.001, 0.5 + 0.1 * i) for i in range(len(times))]
+    if not batch:
+        with pytest.raises(NumericalError, match=r"residue 2\.500e-07 .*t = 1\.25\)$"):
+            correlations.correlator_xx(configs[0], 1, 1.25)
+    with pytest.raises(NumericalError) as info:
+        _evaluate(configs, 1, times)
+    b = configs[times.index(1.25)].field_after
+    assert str(info.value) == ("correlator imaginary residue 2.500e-07 exceeds 1e-10 "
+                               f"(at N = 16, kT = 0.5, a = 1.001, b = {b}, d = 1, t = 1.25)")
+
+
 def _oracle_errors(tmp_path, monkeypatch, capsys, kt, c_ed):
     """Exit code and stderr of oracle-compare at n = 4, 6 with two times each,
     the ED concurrences replaced by c_ed (in call order) when given."""
@@ -368,16 +442,19 @@ def test_error_after_exact_agreement_exits_three(tmp_path, monkeypatch, capsys):
     assert "n=6: max |C - C_ed| = 0.250000" in err and "not strictly decreasing" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_overflowing_time_is_a_located_failure(tmp_path, capsys):
-    # At t = 1e308 the phase 2 t Lambda overflows and the correlators are NaN:
-    # the run fails on the state's first non-finite input, at that time.
-    code = main(["timeseries", "--n-sites", "8", "--t-end", "1e308", "--t-steps", "2",
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "numerical failure: M_z = nan is not finite" in err
-    assert "(at N = 8, kT = 0.0, a = 1.0, b = 1.0, d = 1, t = 1e+308)" in err
+    # Past 2 t max Lambda_b = 2^33 one ulp of the phase exceeds 1e-6 rad, so
+    # its sines keep no digits (C read 0, 0 and 0.0265 at t = 1e17 and its next
+    # two floats), and at t = 1e308 the phase overflows.  Either time is
+    # invalid input, named before any numpy warning; t = 1e9 still runs.
+    for t, code in (("1e17", 1), ("1e308", 1), ("1e9", 0)):
+        assert main(["timeseries", "--n-sites", "8", "--field-a", "1.5", "--field-b", "0.5",
+                     "--t-start", t, "--t-end", t, "--t-steps", "1",
+                     "--out", str(tmp_path / "t.csv")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: time {float(t)} is too large: its phase 2 t max "
+                                  "Lambda_b is past 2^33")
 
 
 # ------------------------------------------------------- batched evaluation

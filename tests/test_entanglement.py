@@ -74,6 +74,14 @@ def test_assembly_clamps_rounding_debris():
     assert ent.clamp_warnings == before + 1
 
 
+def test_assembly_rejects_a_trace_off_one():
+    # rho22 = -6e-11 is clamped to 0, and it counts twice in the trace, which
+    # then reads 1 + 1.2e-10, past CLAMP_TOL.
+    with pytest.warns(UserWarning, match="clamping rho22"):
+        with pytest.raises(InvalidStateError, match=r"^two-site trace 1\.00000000012 differs from 1"):
+            two_site_state(-0.5, 0.0, 0.0, 0.25 + 6e-11)
+
+
 def test_concurrence_of_bell_state():
     assert concurrence_x(BELL) == pytest.approx(1.0)
     assert concurrence_general(BELL.matrix()) == pytest.approx(1.0, abs=1e-12)
