@@ -20,6 +20,7 @@ process; --workers is accepted and has no effect.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -118,27 +119,6 @@ class RunSpec:
                 raise ValueError(f"--n-list entries must be even and in 4..12, got {n}")
 
 
-def _observables(configs, d: int, times) -> list:
-    """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at each point of one batch.
-
-    The correlators run on the whole batch; the two-site state, concurrence
-    and EoF run point by point in order, so the first non-physical point is
-    the one reported, with its location.
-    """
-    sx = correlator_xx(configs, d, times)
-    sy = correlator_yy(configs, d, times)
-    sz = correlator_zz(configs, d, times)
-    mz = magnetization_z(configs, times)
-    rows = []
-    for config, t, *values in zip(configs, times, mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()):
-        try:
-            c = concurrence_x(two_site_state(*values))
-        except NumericalError as exc:
-            raise at_point(exc, config, d, t) from exc
-        rows.append((*values, c, entanglement_of_formation(c)))
-    return rows
-
-
 def pair_observables(config: ChainConfig, d: int, t: float):
     """(M_z, S^x, S^y, S^z, C, EoF) of the pair (l, l+d) at time t (inf allowed).
 
@@ -153,12 +133,26 @@ def _evaluate(configs: list, d: int, times: list) -> list:
 
     The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one,
     in one factor_scope: each field's mode factors are computed once per run,
-    and none outlive the call.
+    and none outlive the call.  The correlators run on a whole chunk; the
+    two-site state, concurrence and EoF run point by point in order, so the
+    first non-physical point is the one reported, with its location.
     """
     size = max(1, CHUNK_ELEMENTS // (configs[0].n_sites // 2))
+    rows = []
     with factor_scope():
-        return [row for i in range(0, len(configs), size)
-                for row in _observables(configs[i : i + size], d, times[i : i + size])]
+        for i in range(0, len(configs), size):
+            chunk, at = configs[i : i + size], times[i : i + size]
+            sx = correlator_xx(chunk, d, at)
+            sy = correlator_yy(chunk, d, at)
+            sz = correlator_zz(chunk, d, at)
+            mz = magnetization_z(chunk, at)
+            for config, t, *values in zip(chunk, at, mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()):
+                try:
+                    c = concurrence_x(two_site_state(*values))
+                except NumericalError as exc:
+                    raise at_point(exc, config, d, t) from exc
+                rows.append((*values, c, entanglement_of_formation(c)))
+    return rows
 
 
 def _chain(spec: RunSpec, a: float, b: float, n_sites: int | None = None) -> ChainConfig:
@@ -247,19 +241,6 @@ def _convergence_check(spec: RunSpec, configs, times, values, samples):
         )
 
 
-def _meta_items(spec: RunSpec):
-    """The command and each field it reads, config only when given."""
-    items = [("command", spec.command)]
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.name not in FLAGS[spec.command] or (f.name == "config" and value is None):
-            continue
-        if f.name == "n_list":
-            value = ",".join(str(n) for n in value)
-        items.append((f.name.replace("_", "-"), "none" if value is None else value))
-    return items
-
-
 def _cell(value):
     """A row value as written: labels and infinity as text, ints and floats as
     numbers (CSV writes their str, which for a float is its round-trip repr)."""
@@ -271,27 +252,25 @@ def _cell(value):
     return "inf" if math.isinf(value) else value
 
 
-def _write_csv(fh, spec, columns, rows):
-    for key, value in _meta_items(spec):
-        fh.write(f"# {key} = {value}\n")
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(str(_cell(v)) for v in row) + "\n")
-
-
-def _write_json(fh, spec, columns, rows):
-    meta = dict(_meta_items(spec), columns=columns)
-    json.dump({"meta": meta, "rows": [[_cell(v) for v in row] for row in rows]}, fh, indent=1)
-    fh.write("\n")
-
-
 def _write_output(spec: RunSpec, columns, rows):
-    writer = _write_csv if spec.format == "csv" else _write_json
-    if spec.out:
-        with open(spec.out, "w") as fh:
-            writer(fh, spec, columns, rows)
-    else:
-        writer(sys.stdout, spec, columns, rows)
+    """The command and each field it reads (config only when given), then the rows."""
+    meta = [("command", spec.command)]
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in FLAGS[spec.command] and not (f.name == "config" and value is None):
+            if f.name == "n_list":
+                value = ",".join(str(n) for n in value)
+            meta.append((f.name.replace("_", "-"), "none" if value is None else value))
+    with open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout) as fh:
+        if spec.format == "csv":  # one row at a time, with no converted copy of the table
+            fh.writelines(f"# {key} = {value}\n" for key, value in meta)
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(str(_cell(v)) for v in row) + "\n")
+        else:
+            json.dump({"meta": dict(meta, columns=columns), "rows": [[_cell(v) for v in row] for row in rows]},
+                      fh, indent=1)
+            fh.write("\n")
 
 
 # --- argument handling -------------------------------------------------------
@@ -308,24 +287,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(",") if x.strip())
-
-
-def _build_parser() -> tuple[_Parser, dict]:
-    """The parser and its subcommand parsers by name, with the flags of FLAGS."""
-    # Flag types, where the field's default does not show it.
-    types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
-    helps = {"workers": "accepted for compatibility; has no effect, runs are one process"}
-    parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, read in FLAGS.items():
-        p = sub.add_parser(name)
-        for f in fields(RunSpec):
-            if f.name in read:
-                p.add_argument("--" + f.name.replace("_", "-"),
-                               type=types.get(f.name, type(f.default)), help=helps.get(f.name))
-        if name == "oracle-compare":
-            p.set_defaults(t_end=5.0, t_steps=6)
-    return parser, sub.choices
 
 
 def _load_config_file(path: str, keys) -> dict:
@@ -350,14 +311,26 @@ def _load_config_file(path: str, keys) -> dict:
 def build_spec(argv=None) -> RunSpec:
     """Flags beat the config file, which beats the defaults.
 
-    The file's values become the subcommand's defaults, so argparse converts
-    them with the flags' own types.
+    Each subcommand takes the flags of FLAGS.  The file's values become the
+    subcommand's defaults, so argparse converts them with the flags' own types.
     """
-    parser, commands = _build_parser()
+    # Flag types, where the field's default does not show it.
+    types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
+    helps = {"workers": "accepted for compatibility; has no effect, runs are one process"}
+    parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, read in FLAGS.items():
+        p = sub.add_parser(name)
+        for f in fields(RunSpec):
+            if f.name in read:
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               type=types.get(f.name, type(f.default)), help=helps.get(f.name))
+        if name == "oracle-compare":
+            p.set_defaults(t_end=5.0, t_steps=6)
     args = parser.parse_args(argv)
     if args.config:
         keys = set(vars(args)) - {"command", "config"}
-        commands[args.command].set_defaults(**_load_config_file(args.config, keys))
+        sub.choices[args.command].set_defaults(**_load_config_file(args.config, keys))
         args = parser.parse_args(argv)
     spec = RunSpec(**{key: value for key, value in vars(args).items() if value is not None})
     spec.validate()

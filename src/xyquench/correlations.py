@@ -99,7 +99,7 @@ class ModeBlocks(NamedTuple):
 def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_p, cos(phi_p) and delta_p: the module's one read of the grid, cached with the factors."""
     phi, delta = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
-    return phi, np.cos(phi), delta
+    return _read_only(phi, np.cos(phi), delta)
 
 
 def _read_only(*arrays):
@@ -166,9 +166,9 @@ def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
     (head_c, scale_c, row_c), (head_s, scale_s, row_s), (_, scale_i, _) = _terms(n_sites, gamma, kt, a)
-    weighted_sin = (sin * row_s).T  # Im rho12 and Re rho12 share their row
-    return [(head_c @ cos.T, scale_c, (cos * row_c).T), (head_s @ sin.T, scale_s, weighted_sin),
-            (None, scale_i, weighted_sin)]
+    table_c, table_s = (cos * row_c).T, (sin * row_s).T  # Im rho12 and Re rho12 share a row
+    head_c, head_s, table_c, table_s = _read_only(head_c @ cos.T, head_s @ sin.T, table_c, table_s)
+    return [(head_c, scale_c, table_c), (head_s, scale_s, table_s), (None, scale_i, table_s)]
 
 
 def _runs(keys):
@@ -234,7 +234,7 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
             w[rows, frozen] = (2.0 * t) ** 2
             v[rows, frozen] = 4.0 * t
         np.multiply(w[rows], cos + key[1], out=xw[rows])
-    runs = [(key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None],
+    runs = [(key, rows, _read_only(np.array([c.field_after - key[2] for c in configs[rows]])[:, None])[0],
              _terms(n, *key)) for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
     return runs, _read_only(w, xw, v)
 

@@ -6,9 +6,12 @@
 is real in the z basis and commutes with the parity prod_i sz_i, so basis
 states of even and of odd popcount span two blocks that H never couples;
 ``quench_series`` works on each half-size block in real arithmetic.  No
-fermion mapping enters.  The mode pipeline agrees with this oracle only up to
-the O(1/N) boundary term dropped by the mode picture, so comparisons should
-tighten as N grows rather than hit machine precision.
+fermion mapping enters.  The mode pipeline agrees with this oracle only to
+O(1/N), so comparisons tighten as N grows rather than hit machine precision.
+The causes: the paired-mode grid, which is neither parity sector of the ring
+(on the even-sector grid the two agree to rounding at kT = 0 where the ground
+state is even); at kT > 0 the Gibbs state, which mixes both sectors; and for C
+at finite t after a quench, the Im rho14 that the X-state assembly drops.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def build_hamiltonian(n: int, gamma: float, h: float) -> np.ndarray:
 
 def _gibbs_weights(evals: np.ndarray, kt: float) -> np.ndarray:
     """exp(-(E - E_0)/kT)/Z, overflow-free at low kT; at kT = 0, even over E - E_0 < GROUND_TOL."""
-    if kt < 0:
+    if not kt >= 0:  # NaN too; kT = inf is the maximally mixed state
         raise ValueError(f"kt must be non-negative, got {kt}")
     shifted = evals - evals.min()
     weights = (shifted < GROUND_TOL).astype(float) if kt == 0.0 else np.exp(-shifted / kt)

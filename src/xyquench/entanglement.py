@@ -9,8 +9,11 @@ u being the +1 eigenstate of sigma^z:
     [  .   rho23 rho33    .  ]
     [rho14   .     .    rho44]
 
-with real off-diagonals built from the correlators, rho14 = Sx - Sy and
-rho23 = Sx + Sy.  Concurrence comes either from the X-state closed form or
+with off-diagonals built from the same-axis correlators, rho14 = Sx - Sy and
+rho23 = Sx + Sy, taken as real.  That holds in equilibrium and in the
+dephased t -> infinity state.  After a quench, at finite t, rho14 also has an
+imaginary part, carried by <S^x S^y> + <S^y S^x>, which this assembly drops
+(Im rho23 stays 0).  Concurrence comes either from the X-state closed form or
 from the generic spectrum of rho * (sy x sy) rho^* (sy x sy); both paths are
 kept so one can check the other.
 """

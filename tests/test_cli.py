@@ -96,14 +96,23 @@ def test_subcommands_take_and_echo_only_their_flags(tmp_path, capsys, command, u
     assert sorted(meta) == sorted(["command", "columns", *common, *flags.split()])
 
 
-def test_readme_command_lines_parse(tmp_path):
-    # Every example of the README's command-line section is a valid request.
+def test_readme_command_lines_parse(tmp_path, capsys):
+    # Every example of the README's command-line section is a valid request
+    # and runs as the README says: surface and equilibrium exit 2, each naming
+    # its non-physical point a = b = 0.
     section = (Path(__file__).parents[1] / "README.md").read_text().split("## Command line", 1)[1]
     examples, config = re.findall(r"```\n(.*?)```", section, re.S)[:2]
     commands = [line.split()[1:] for line in examples.splitlines() if line.startswith("xy-quench ")]
     assert [argv[0] for argv in commands] == list(FLAG_SETS)
     for argv in commands:
         build_spec(argv)
+    codes = []
+    for argv in commands:
+        capsys.readouterr()
+        codes.append(main([*argv, "--out", str(tmp_path / f"{argv[0]}.csv")]))
+        if codes[-1] == 2:
+            assert "a = 0.0, b = 0.0, d = 1" in capsys.readouterr().err
+    assert codes == [0, 2, 2, 0]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     assert build_spec(["timeseries", "--config", str(cfg)]).config == str(cfg)

@@ -282,6 +282,28 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
             assert held == dict.fromkeys(names, 0)
 
 
+def test_factor_caches_return_read_only_arrays():
+    # A cached array is shared by every later call of its run, so no caller may write it.
+    n, gamma, kt, a, d_max = 16, 0.7, 0.5, 0.6, 2
+    configs = (ChainConfig(n, gamma, kt, a, 1.4), ChainConfig(n, gamma, kt, 1.1, 0.3))
+    times = (1.3, math.inf)
+    args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_terms": (n, gamma, kt, a),
+            "_tables": (n, gamma, kt, a, d_max), "_batch": (configs, times),
+            "_trig_table": (n, gamma, d_max), "_gamma": (configs, times, d_max)}
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    with factor_scope():
+        for cache in correlations._FACTOR_CACHES:
+            found = list(arrays(cache(*args[cache.__name__])))
+            assert found and not [x.shape for x in found if x.flags.writeable], cache.__name__
+
+
 def test_contraction_table_counts_its_lookups_across_runs():
     # Each run empties the cache; its hits and misses still add up, as the
     # benchmark's hit ratio reads them after the run.
