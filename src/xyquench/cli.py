@@ -286,7 +286,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated even ring sizes in 4..12, such as 6,8,10; got {text!r}") from None
 
 
 def _load_config_file(path: str, keys) -> dict:

@@ -5,8 +5,8 @@
 
 is real in the z basis and commutes with the parity prod_i sz_i, so basis
 states of even and of odd popcount span two blocks that H never couples;
-``quench_series`` works on each half-size block in real arithmetic.  No
-fermion mapping enters.  The mode pipeline agrees with this oracle only to
+``quench_series`` evolves each half-size block of the Gibbs state's factor.
+No fermion mapping enters.  The mode pipeline agrees with this oracle only to
 O(1/N), so comparisons tighten as N grows rather than hit machine precision.
 The causes: the paired-mode grid, which is neither parity sector of the ring
 (on the even-sector grid the two agree to rounding at kT = 0 where the ground
@@ -112,28 +112,28 @@ def pair_correlators(state: np.ndarray, i: int, j: int):
 def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d: int = 1):
     """Oracle observables (M_z, S^x, S^y, S^z, rho_pair) for each requested time.
 
-    Each parity block of rho0 is rotated once into the eigenbasis V of H(b)'s
-    block, where it is real symmetric (rho~); the block of rho(t) is then
-    V (rho~ * exp(-i(E_m - E_n)t)) V^T, formed as real products with cos and sin.
+    Each parity block of rho0 is F F^T, F = V_a sqrt(w) over the nonzero Gibbs
+    weights; at time t it is G G^dagger with G = V_b exp(-i E_b t) V_b^T F.
+    rho_pair traces G G^dagger over all sites but 0 and d, summed over blocks;
+    M_z is <S^z> of site 0, since the ring's state is translation invariant.
     """
     _check_sites(n)
-    sectors = [np.ix_(s, s) for s in (np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1))]
+    sectors = [np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1)]
     # Each dense H is dropped once its blocks are diagonalized.
-    before, after = ([np.linalg.eigh(ham[sector]) for sector in sectors]
+    before, after = ([np.linalg.eigh(ham[np.ix_(sector, sector)]) for sector in sectors]
                      for ham in (build_hamiltonian(n, gamma, h) for h in (a, b)))
     # One ground energy, one kT = 0 rule and one Z for both sectors together.
     weights = _gibbs_weights(np.concatenate([evals for evals, _ in before]), kt)
-    overlaps = [vecs_b.T @ vecs_a for (_, vecs_a), (_, vecs_b) in zip(before, after)]
-    rotated = [(o * w) @ o.T for o, w in zip(overlaps, np.split(weights, [2 ** (n - 1)]))]
-    rho_t = np.zeros((2**n, 2**n), dtype=complex)
+    factors = [vecs_b.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))
+               for (_, vecs_a), (_, vecs_b), w in zip(before, after, np.split(weights, [2 ** (n - 1)]))]
     rows = []
     for t in times:
-        for sector, (evals, vecs), rho in zip(sectors, after, rotated):
-            gaps = np.subtract.outer(evals, evals) * t
-            real = vecs @ (rho * np.cos(gaps)) @ vecs.T
-            imag = vecs @ (rho * np.sin(gaps)) @ vecs.T
-            rho_t[sector] = real - 1j * imag
-        rho2 = reduce_pair(rho_t, 0, d % n)
+        rho2 = np.zeros((4, 4), dtype=complex)
+        for sector, (evals, vecs), r in zip(sectors, after, factors):
+            g = np.zeros((2**n, r.shape[1]), dtype=complex)
+            g.real[sector], g.imag[sector] = (vecs @ (f(-evals * t)[:, None] * r) for f in (np.cos, np.sin))
+            pair = np.moveaxis(g.reshape((2,) * n + r.shape[1:]), (0, d % n), (0, 1)).reshape(4, -1)
+            rho2 += pair @ pair.conj().T
         # rho2 is the state of a two-site ring, so its correlators need no second reduction.
-        rows.append((magnetization(rho_t), *pair_correlators(rho2, 0, 1), rho2))
+        rows.append((float(rho2.real.diagonal() @ [.5, .5, -.5, -.5]), *pair_correlators(rho2, 0, 1), rho2))
     return rows

@@ -189,6 +189,17 @@ def test_non_finite_values_name_their_flag_and_kt_may_be_infinite(tmp_path, caps
     assert main(["timeseries", "--kt", "inf", "--n-sites", "20", "--t-steps", "3", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_bad_n_list_says_what_the_flag_takes(route, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-list = 6,x\n")
+    argv = ["--n-list", "6,x"] if route == "flag" else ["--config", str(cfg)]
+    assert main(["oracle-compare", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "argument --n-list: expected comma-separated even ring sizes in 4..12, such as 6,8,10" in err
+    assert "_int_list" not in err
+
+
 def test_unknown_command_and_flag_exit_one(capsys):
     assert main(["melt"]) == 1
     assert main(["timeseries", "--bogus", "1"]) == 1

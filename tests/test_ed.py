@@ -187,16 +187,22 @@ def test_quench_series_matches_manual_composition():
     # with one state in each sector, so a ground space kept to one sector
     # fails there; at a != 0 the odd sector's lowest level lies above the
     # ground, so weights shifted per sector fail; weights normalized per
-    # sector fail everywhere.
+    # sector fail everywhere.  At gamma = 0.3, a = 0.2 the ground state is odd,
+    # so at kT = 0 the even block keeps no columns.  d = n - 1 is the pair
+    # across the ring's seam.
     times = (0.0, 1.3, 4.1)
     for n in (6, 8):
-        for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4)):
+        for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4), (0.3, 0.2, 0.5)):
             ham_a = ed.build_hamiltonian(n, gamma, a)
             ham_b = ed.build_hamiltonian(n, gamma, b)
+            if (gamma, a) == (0.3, 0.2):
+                odd = ed._popcounts(n) % 2 == 1
+                lowest = [np.linalg.eigvalsh(ham_a[np.ix_(s, s)])[0] for s in (~odd, odd)]
+                assert lowest[1] < lowest[0] - 1e-3
             for kt in (0.0, 0.5):
                 rho0 = ed.thermal_state(ham_a, kt)
                 states = [ed.evolve(rho0, ham_b, t) for t in times]
-                for d in (1, 2):
+                for d in (1, 2, n - 1):
                     rows = ed.quench_series(n, gamma, kt, a, b, times, d=d)
                     for rho_t, (mz, sx, sy, sz, pair) in zip(states, rows):
                         assert mz == pytest.approx(ed.magnetization(rho_t), abs=1e-12)
