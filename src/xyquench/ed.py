@@ -5,9 +5,11 @@
 
 is real in the z basis and commutes with the parity prod_i sz_i, so basis
 states of even and of odd popcount span two blocks that H never couples;
-``quench_series`` evolves each half-size block of the Gibbs state's factor.
-No fermion mapping enters.  The mode pipeline agrees with this oracle only to
-O(1/N), so comparisons tighten as N grows rather than hit machine precision.
+``quench_series`` traces each half-size block of the Gibbs state down to the
+pair, once for all times in H(b)'s eigenbasis when the Gibbs factor has many
+columns, else by evolving the factor at each time.  No fermion mapping
+enters.  The mode pipeline agrees with this oracle only to O(1/N), so
+comparisons tighten as N grows rather than hit machine precision.
 The causes: the paired-mode grid, which is neither parity sector of the ring
 (on the even-sector grid the two agree to rounding at kT = 0 where the ground
 state is even); at kT > 0 the Gibbs state, which mixes both sectors; and for C
@@ -112,12 +114,26 @@ def pair_correlators(state: np.ndarray, i: int, j: int):
 def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d: int = 1):
     """Oracle observables (M_z, S^x, S^y, S^z, rho_pair) for each requested time.
 
-    Each parity block of rho0 is F F^T, F = V_a sqrt(w) over the nonzero Gibbs
-    weights; at time t it is G G^dagger with G = V_b exp(-i E_b t) V_b^T F.
-    rho_pair traces G G^dagger over all sites but 0 and d, summed over blocks;
-    M_z is <S^z> of site 0, since the ring's state is translation invariant.
+    Each parity block of rho0 is F F^T, F = V_a sqrt(w) over the block's c
+    nonzero Gibbs weights, and R = V_b^T F; at time t the block is G G^dagger,
+    G = V_b p R with p = exp(-i E_b t).  V_b's rows are sorted once by the pair
+    state i of sites 0 and d, so the rows V_i in state i are a quarter of V_b,
+    and the quarters of an X-state entry rho_ij (i, j of equal parity) list the
+    other sites in the same order.  Per block, with K = 2^(n-1) and T times:
+
+    - spectral, when c (4T - 2) > 3K: rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
+      with S = R R^T and V_i^T V_j formed once (c K^2 + 1.5 K^3 multiply-adds),
+      then one (T x K) @ (K x K) product per entry;
+    - otherwise per time: G in two real products with cos and sin
+      (2 c K^2 per time), then Tr_rest G G^dagger.
+
+    rho_pair sums both blocks; M_z is <S^z> of site 0, since the ring's state
+    is translation invariant.
     """
     _check_sites(n)
+    if d % n == 0:
+        raise ValueError(f"the pair (0, d) needs two distinct sites, but d = {d} is a multiple of n = {n}")
+    times = np.asarray(times, dtype=float)
     sectors = [np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1)]
     # Each dense H is dropped once its blocks are diagonalized.
     before, after = ([np.linalg.eigh(ham[np.ix_(sector, sector)]) for sector in sectors]
@@ -126,14 +142,26 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     weights = _gibbs_weights(np.concatenate([evals for evals, _ in before]), kt)
     factors = [vecs_b.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))
                for (_, vecs_a), (_, vecs_b), w in zip(before, after, np.split(weights, [2 ** (n - 1)]))]
-    rows = []
-    for t in times:
-        rho2 = np.zeros((4, 4), dtype=complex)
-        for sector, (evals, vecs), r in zip(sectors, after, factors):
-            g = np.zeros((2**n, r.shape[1]), dtype=complex)
-            g.real[sector], g.imag[sector] = (vecs @ (f(-evals * t)[:, None] * r) for f in (np.cos, np.sin))
-            pair = np.moveaxis(g.reshape((2,) * n + r.shape[1:]), (0, d % n), (0, 1)).reshape(4, -1)
-            rho2 += pair @ pair.conj().T
-        # rho2 is the state of a two-site ring, so its correlators need no second reduction.
-        rows.append((float(rho2.real.diagonal() @ [.5, .5, -.5, -.5]), *pair_correlators(rho2, 0, 1), rho2))
-    return rows
+    states = np.arange(2**n)
+    pair = 2 * (states >> (n - 1) & 1) + (states >> (n - 1 - d % n) & 1)  # 00, 01, 10, 11 -> 0..3
+    # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
+    rows, cols = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]).T
+    rho = np.zeros((len(times), 4, 4), dtype=complex)
+    for sector, (evals, vecs), r in zip(sectors, after, factors):
+        vecs = vecs[np.argsort(pair[sector], kind="stable")]
+        phases = np.stack([f(-np.outer(times, evals)) for f in (np.cos, np.sin)])  # p = phases[0] + i phases[1]
+        if r.shape[1] * (4 * len(times) - 2) > 3 * len(evals):
+            quarters, s = vecs.reshape(4, -1, len(evals)), r @ r.T
+            for i, j in zip(rows, cols):
+                # parts[u, v] = phases[u] M phases[v] at each time, for M = S o (V_i^T V_j).
+                parts = np.einsum("utk,vtk->uvt", phases @ (s * (quarters[i].T @ quarters[j])), phases)
+                rho[:, i, j] += parts[0, 0] + parts[1, 1] + 1j * (parts[1, 0] - parts[0, 1])
+        else:
+            for k, (cos, sin) in enumerate(phases.transpose(1, 0, 2)):
+                re, im = ((vecs @ (p[:, None] * r)).reshape(4, -1) for p in (cos, sin))
+                rho[k, rows, cols] += (re @ re.T + im @ im.T + 1j * (im @ re.T - re @ im.T))[rows, cols]
+    # rho is Hermitian: a real diagonal, and lower corners conjugate to the upper ones.
+    rho.imag[:, rows[:4], rows[:4]] = 0.0
+    rho[:, cols[4:], rows[4:]] = rho[:, rows[4:], cols[4:]].conj()
+    # Each rho is the state of a two-site ring, so its correlators need no second reduction.
+    return [(float(r.real.diagonal() @ [.5, .5, -.5, -.5]), *pair_correlators(r, 0, 1), r) for r in rho]

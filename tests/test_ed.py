@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ def test_magnetization_of_polarized_state():
     assert ed.magnetization(_up_projector(4)) == pytest.approx(0.5)
 
 
+def _assert_matches_full_route(n, gamma, kt, a, b, times, d):
+    """quench_series against thermal_state + evolve + reduce_pair on the full matrix."""
+    rho0 = ed.thermal_state(ed.build_hamiltonian(n, gamma, a), kt)
+    ham_b = ed.build_hamiltonian(n, gamma, b)
+    rows = ed.quench_series(n, gamma, kt, a, b, times, d=d)
+    assert len(rows) == len(times)
+    for t, (mz, sx, sy, sz, pair) in zip(times, rows):
+        rho_t = ed.evolve(rho0, ham_b, t)
+        assert mz == pytest.approx(ed.magnetization(rho_t), abs=1e-12)
+        assert (sx, sy, sz) == pytest.approx(ed.pair_correlators(rho_t, 0, d), abs=1e-12)
+        assert np.max(np.abs(pair - ed.reduce_pair(rho_t, 0, d))) < 1e-12
+
+
 def test_quench_series_matches_manual_composition():
     # The parity-blocked route against thermal_state + evolve on the full
     # matrix.  At gamma = 1, a = 0 the kT = 0 ground pair is exactly degenerate
@@ -189,26 +203,54 @@ def test_quench_series_matches_manual_composition():
     # ground, so weights shifted per sector fail; weights normalized per
     # sector fail everywhere.  At gamma = 0.3, a = 0.2 the ground state is odd,
     # so at kT = 0 the even block keeps no columns.  d = n - 1 is the pair
-    # across the ring's seam.
-    times = (0.0, 1.3, 4.1)
+    # across the ring's seam; t = 25 is past the small rings' revivals.
+    # Each block takes the spectral route when c (4T - 2) > 3K (c factor
+    # columns, T times, K = 2^(n-1)): with these 4 times, kT = 0.5 (c = K)
+    # takes it and kT = 0 (c <= 2) takes the per-time route.
+    times = (0.0, 1.3, 4.1, 25.0)
     for n in (6, 8):
         for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4), (0.3, 0.2, 0.5)):
-            ham_a = ed.build_hamiltonian(n, gamma, a)
-            ham_b = ed.build_hamiltonian(n, gamma, b)
             if (gamma, a) == (0.3, 0.2):
-                odd = ed._popcounts(n) % 2 == 1
+                ham_a, odd = ed.build_hamiltonian(n, gamma, a), ed._popcounts(n) % 2 == 1
                 lowest = [np.linalg.eigvalsh(ham_a[np.ix_(s, s)])[0] for s in (~odd, odd)]
                 assert lowest[1] < lowest[0] - 1e-3
             for kt in (0.0, 0.5):
-                rho0 = ed.thermal_state(ham_a, kt)
-                states = [ed.evolve(rho0, ham_b, t) for t in times]
                 for d in (1, 2, n - 1):
-                    rows = ed.quench_series(n, gamma, kt, a, b, times, d=d)
-                    for rho_t, (mz, sx, sy, sz, pair) in zip(states, rows):
-                        assert mz == pytest.approx(ed.magnetization(rho_t), abs=1e-12)
-                        expected = ed.pair_correlators(rho_t, 0, d)
-                        assert (sx, sy, sz) == pytest.approx(expected, abs=1e-12)
-                        assert np.max(np.abs(pair - ed.reduce_pair(rho_t, 0, d))) < 1e-12
+                    _assert_matches_full_route(n, gamma, kt, a, b, times, d)
+    # kT = 0.02 at n = 8: part of the Gibbs weights underflow to 0, leaving
+    # c = 85 and 72 of K = 128, so 4 times take the spectral route and one
+    # time the per-time route, as any single time at kT > 0 does.
+    for some in (times, times[-1:]):
+        _assert_matches_full_route(8, 1.0, 0.02, 1.5, 0.5, some, 2)
+    # 26 times as a numpy array at n = 6, kT = 0 (c = 1, K = 32): the spectral route.
+    _assert_matches_full_route(6, 1.0, 0.0, 1.5, 0.5, np.linspace(0.0, 25.0, 26), 1)
+    assert ed.quench_series(6, 1.0, 0.5, 1.5, 0.5, []) == []
+
+
+def test_quench_series_rejects_a_pair_on_one_site():
+    for n in (4, 6):
+        for d in (0, n, -n, 2 * n):
+            with pytest.raises(ValueError, match=f"d = {d} is a multiple of n = {n}"):
+                ed.quench_series(n, 1.0, 0.5, 1.5, 0.5, [0.0, 1.0], d=d)
+        # d = n + 1 is the pair at distance 1 and d = n - 1 the pair across the seam.
+        near, far = (ed.quench_series(n, 1.0, 0.5, 1.5, 0.5, [1.0], d=d) for d in (1, n + 1))
+        assert np.array_equal(near[0][4], far[0][4])
+        _assert_matches_full_route(n, 1.0, 0.5, 1.5, 0.5, [1.0], n - 1)
+
+
+def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
+    # At kT = 0.5 the Gibbs factor has all K = 2^(n-1) columns per block, at
+    # kT = 0 one or two; the spectral route keeps a few K x K arrays, so the
+    # dense H and its blocks' eigensolves set the peak at both.
+    peaks = []
+    for kt in (0.0, 0.5):
+        tracemalloc.start()
+        try:
+            ed.quench_series(10, 1.0, kt, 1.001, 0.5, np.linspace(0.0, 5.0, 6))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 2**20:.1f} MB" for peak in peaks]
 
 
 @pytest.mark.parametrize("t", [0.0, pytest.param(0.7, marks=pytest.mark.xfail(
