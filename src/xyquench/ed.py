@@ -6,10 +6,10 @@
 is real in the z basis and commutes with the parity prod_i sz_i, so basis
 states of even and of odd popcount span two blocks that H never couples;
 ``quench_series`` traces each half-size block of the Gibbs state down to the
-pair, once for all times in H(b)'s eigenbasis when the Gibbs factor has many
-columns, else by evolving the factor at each time.  No fermion mapping
-enters.  The mode pipeline agrees with this oracle only to O(1/N), so
-comparisons tighten as N grows rather than hit machine precision.
+pair once, in H(b)'s eigenbasis, for all times, and skips a block with no
+Gibbs weight.  No fermion mapping enters.
+The mode pipeline agrees with this oracle only to O(1/N), so comparisons
+tighten as N grows rather than hit machine precision.
 The causes: the paired-mode grid, which is neither parity sector of the ring
 (on the even-sector grid the two agree to rounding at kT = 0 where the ground
 state is even); at kT > 0 the Gibbs state, which mixes both sectors; and for C
@@ -60,6 +60,12 @@ def build_hamiltonian(n: int, gamma: float, h: float) -> np.ndarray:
         equal = ((states >> i) & 1) == ((states >> j) & 1)
         ham[states, states ^ (1 << i | 1 << j)] = np.where(equal, -gamma, -1.0)
     return ham
+
+
+def _block_eigh(n: int, gamma: float, h: float, blocks) -> list:
+    """eigh of H(h) within each index block; the dense H is dropped on return."""
+    ham = build_hamiltonian(n, gamma, h)
+    return [np.linalg.eigh(ham[np.ix_(block, block)]) for block in blocks]
 
 
 def _gibbs_weights(evals: np.ndarray, kt: float) -> np.ndarray:
@@ -119,47 +125,42 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     G = V_b p R with p = exp(-i E_b t).  V_b's rows are sorted once by the pair
     state i of sites 0 and d, so the rows V_i in state i are a quarter of V_b,
     and the quarters of an X-state entry rho_ij (i, j of equal parity) list the
-    other sites in the same order.  Per block, with K = 2^(n-1) and T times:
+    other sites in the same order.  So rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
+    with S = R R^T and V_i^T V_j formed once per block for all T times, then
+    one (2T x K) @ (K x K) real product per entry, K = 2^(n-1).  Only K x K
+    arrays are formed, never G, so the memory peak does not grow with c.
 
-    - spectral, when c (4T - 2) > 3K: rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
-      with S = R R^T and V_i^T V_j formed once (c K^2 + 1.5 K^3 multiply-adds),
-      then one (T x K) @ (K x K) product per entry;
-    - otherwise per time: G in two real products with cos and sin
-      (2 c K^2 per time), then Tr_rest G G^dagger.
-
-    rho_pair sums both blocks; M_z is <S^z> of site 0, since the ring's state
-    is translation invariant.
+    A block with no Gibbs weight (at kT = 0, a sector without ground states)
+    is skipped, H(b) included.  rho_pair sums the blocks; M_z is <S^z> of
+    site 0, since the ring's state is translation invariant.
     """
     _check_sites(n)
     if d % n == 0:
         raise ValueError(f"the pair (0, d) needs two distinct sites, but d = {d} is a multiple of n = {n}")
     times = np.asarray(times, dtype=float)
     sectors = [np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1)]
-    # Each dense H is dropped once its blocks are diagonalized.
-    before, after = ([np.linalg.eigh(ham[np.ix_(sector, sector)]) for sector in sectors]
-                     for ham in (build_hamiltonian(n, gamma, h) for h in (a, b)))
+    before = _block_eigh(n, gamma, a, sectors)
     # One ground energy, one kT = 0 rule and one Z for both sectors together.
-    weights = _gibbs_weights(np.concatenate([evals for evals, _ in before]), kt)
-    factors = [vecs_b.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))
-               for (_, vecs_a), (_, vecs_b), w in zip(before, after, np.split(weights, [2 ** (n - 1)]))]
+    weights = np.split(_gibbs_weights(np.concatenate([evals for evals, _ in before]), kt), 2)
+    # A block with no weight adds nothing to rho; its H(b) eigensolve is skipped.
+    occupied = [k for k, w in enumerate(weights) if w.any()]
+    after = _block_eigh(n, gamma, b, [sectors[k] for k in occupied])
     states = np.arange(2**n)
     pair = 2 * (states >> (n - 1) & 1) + (states >> (n - 1 - d % n) & 1)  # 00, 01, 10, 11 -> 0..3
     # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
     rows, cols = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]).T
     rho = np.zeros((len(times), 4, 4), dtype=complex)
-    for sector, (evals, vecs), r in zip(sectors, after, factors):
-        vecs = vecs[np.argsort(pair[sector], kind="stable")]
+    for k, (evals, vecs) in zip(occupied, after):
+        # F is formed only after H(b)'s eigensolves, so the Gibbs rank c does not set the peak.
+        w, vecs_a = weights[k], before[k][1]
+        r = vecs.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^T F
+        quarters = vecs[np.argsort(pair[sectors[k]], kind="stable")].reshape(4, -1, len(evals))
         phases = np.stack([f(-np.outer(times, evals)) for f in (np.cos, np.sin)])  # p = phases[0] + i phases[1]
-        if r.shape[1] * (4 * len(times) - 2) > 3 * len(evals):
-            quarters, s = vecs.reshape(4, -1, len(evals)), r @ r.T
-            for i, j in zip(rows, cols):
-                # parts[u, v] = phases[u] M phases[v] at each time, for M = S o (V_i^T V_j).
-                parts = np.einsum("utk,vtk->uvt", phases @ (s * (quarters[i].T @ quarters[j])), phases)
-                rho[:, i, j] += parts[0, 0] + parts[1, 1] + 1j * (parts[1, 0] - parts[0, 1])
-        else:
-            for k, (cos, sin) in enumerate(phases.transpose(1, 0, 2)):
-                re, im = ((vecs @ (p[:, None] * r)).reshape(4, -1) for p in (cos, sin))
-                rho[k, rows, cols] += (re @ re.T + im @ im.T + 1j * (im @ re.T - re @ im.T))[rows, cols]
+        s = r @ r.T
+        for i, j in zip(rows, cols):
+            # parts[u, v] = phases[u] M phases[v] at each time, for M = S o (V_i^T V_j).
+            parts = np.einsum("utk,vtk->uvt", phases @ (s * (quarters[i].T @ quarters[j])), phases)
+            rho[:, i, j] += parts[0, 0] + parts[1, 1] + 1j * (parts[1, 0] - parts[0, 1])
     # rho is Hermitian: a real diagonal, and lower corners conjugate to the upper ones.
     rho.imag[:, rows[:4], rows[:4]] = 0.0
     rho[:, cols[4:], rows[4:]] = rho[:, rows[4:], cols[4:]].conj()

@@ -202,11 +202,9 @@ def test_quench_series_matches_manual_composition():
     # fails there; at a != 0 the odd sector's lowest level lies above the
     # ground, so weights shifted per sector fail; weights normalized per
     # sector fail everywhere.  At gamma = 0.3, a = 0.2 the ground state is odd,
-    # so at kT = 0 the even block keeps no columns.  d = n - 1 is the pair
-    # across the ring's seam; t = 25 is past the small rings' revivals.
-    # Each block takes the spectral route when c (4T - 2) > 3K (c factor
-    # columns, T times, K = 2^(n-1)): with these 4 times, kT = 0.5 (c = K)
-    # takes it and kT = 0 (c <= 2) takes the per-time route.
+    # so at kT = 0 the even block has no weight and is skipped.  d = n - 1 is
+    # the pair across the ring's seam; t = 25 is past the small rings'
+    # revivals.
     times = (0.0, 1.3, 4.1, 25.0)
     for n in (6, 8):
         for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4), (0.3, 0.2, 0.5)):
@@ -218,11 +216,9 @@ def test_quench_series_matches_manual_composition():
                 for d in (1, 2, n - 1):
                     _assert_matches_full_route(n, gamma, kt, a, b, times, d)
     # kT = 0.02 at n = 8: part of the Gibbs weights underflow to 0, leaving
-    # c = 85 and 72 of K = 128, so 4 times take the spectral route and one
-    # time the per-time route, as any single time at kT > 0 does.
-    for some in (times, times[-1:]):
-        _assert_matches_full_route(8, 1.0, 0.02, 1.5, 0.5, some, 2)
-    # 26 times as a numpy array at n = 6, kT = 0 (c = 1, K = 32): the spectral route.
+    # c = 85 and 72 of the K = 128 factor columns per block.
+    _assert_matches_full_route(8, 1.0, 0.02, 1.5, 0.5, times, 2)
+    # Times as a numpy array, and no times at all.
     _assert_matches_full_route(6, 1.0, 0.0, 1.5, 0.5, np.linspace(0.0, 25.0, 26), 1)
     assert ed.quench_series(6, 1.0, 0.5, 1.5, 0.5, []) == []
 
@@ -240,8 +236,9 @@ def test_quench_series_rejects_a_pair_on_one_site():
 
 def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
     # At kT = 0.5 the Gibbs factor has all K = 2^(n-1) columns per block, at
-    # kT = 0 one or two; the spectral route keeps a few K x K arrays, so the
-    # dense H and its blocks' eigensolves set the peak at both.
+    # kT = 0 one or two; quench_series keeps a few K x K arrays, so the
+    # dense H and its blocks' eigensolves set the peak at both (at kT = 0,
+    # one eigensolve fewer: the odd sector has no weight and is skipped).
     peaks = []
     for kt in (0.0, 0.5):
         tracemalloc.start()
