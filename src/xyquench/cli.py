@@ -81,8 +81,6 @@ class RunSpec:
     config: str | None = None
 
     def validate(self):
-        if self.command not in FLAGS:
-            raise ValueError(f"unknown command {self.command!r}")
         for f in fields(self):  # kt = inf is the infinite-temperature state
             value = getattr(self, f.name)
             if isinstance(value, float) and (math.isnan(value) or math.isinf(value) and f.name != "kt"):
@@ -242,14 +240,8 @@ def _convergence_check(spec: RunSpec, configs, times, values, samples):
 
 
 def _cell(value):
-    """A row value as written: labels and infinity as text, ints and floats as
-    numbers (CSV writes their str, which for a float is its round-trip repr)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    value = float(value)
-    return "inf" if math.isinf(value) else value
+    """A row value as JSON writes it: infinity as its CSV text, anything else as it is."""
+    return "inf" if value == math.inf else value
 
 
 def _write_output(spec: RunSpec, columns, rows):
@@ -262,11 +254,10 @@ def _write_output(spec: RunSpec, columns, rows):
                 value = ",".join(str(n) for n in value)
             meta.append((f.name.replace("_", "-"), "none" if value is None else value))
     with open(spec.out, "w") if spec.out else contextlib.nullcontext(sys.stdout) as fh:
-        if spec.format == "csv":  # one row at a time, with no converted copy of the table
+        if spec.format == "csv":  # str of a float is its round-trip repr, and of math.inf "inf"
             fh.writelines(f"# {key} = {value}\n" for key, value in meta)
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(str(_cell(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
             json.dump({"meta": dict(meta, columns=columns), "rows": [[_cell(v) for v in row] for row in rows]},
                       fh, indent=1)
@@ -274,15 +265,6 @@ def _write_output(spec: RunSpec, columns, rows):
 
 
 # --- argument handling -------------------------------------------------------
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits with code 1 on bad input instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _int_list(text: str) -> tuple:
@@ -317,12 +299,13 @@ def build_spec(argv=None) -> RunSpec:
 
     Each subcommand takes the flags of FLAGS.  The file's values become the
     subcommand's defaults, so argparse converts them with the flags' own types.
+    A bad flag exits 2 through argparse (main returns 1); a bad setting raises ValueError.
     """
     # Flag types, where the field's default does not show it.
     types = {"out": str, "time_average": float, "n_list": _int_list, "config": str}
     helps = {"workers": "accepted for compatibility; has no effect, runs are one process"}
-    parser = _Parser(prog="xy-quench", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="xy-quench", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, read in FLAGS.items():
         p = sub.add_parser(name)
         for f in fields(RunSpec):
@@ -355,8 +338,8 @@ def main(argv=None) -> int:
         columns, rows, code = _RUNNERS[spec.command](spec)
         _write_output(spec, columns, rows)
         return code
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on bad input
+        return 1 if exc.code else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

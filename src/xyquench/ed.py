@@ -127,8 +127,10 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     and the quarters of an X-state entry rho_ij (i, j of equal parity) list the
     other sites in the same order.  So rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
     with S = R R^T and V_i^T V_j formed once per block for all T times, then
-    one (2T x K) @ (K x K) real product per entry, K = 2^(n-1).  Only K x K
-    arrays are formed, never G, so the memory peak does not grow with c.
+    one (2T x K) @ (K x K) real product per entry, K = 2^(n-1).  G is never
+    formed, so c does not set the memory peak: the dense 2^n x 2^n H(a), then
+    H(b), that _block_eigh slices the blocks from, and the K x K arrays do.
+    Times must be finite: unlike the mode pipeline, ED has no dephased t = inf.
 
     A block with no Gibbs weight (at kT = 0, a sector without ground states)
     is skipped, H(b) included.  rho_pair sums the blocks; M_z is <S^z> of
@@ -138,6 +140,8 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     if d % n == 0:
         raise ValueError(f"the pair (0, d) needs two distinct sites, but d = {d} is a multiple of n = {n}")
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"ED needs finite times, got t = {times[~np.isfinite(times)][0]}")
     sectors = [np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1)]
     before = _block_eigh(n, gamma, a, sectors)
     # One ground energy, one kT = 0 rule and one Z for both sectors together.

@@ -201,9 +201,15 @@ def test_bad_n_list_says_what_the_flag_takes(route, tmp_path, capsys):
 
 
 def test_unknown_command_and_flag_exit_one(capsys):
-    assert main(["melt"]) == 1
-    assert main(["timeseries", "--bogus", "1"]) == 1
-    capsys.readouterr()
+    # argparse exits 2 on bad input and prints usage and error; main returns 1.
+    for argv, message in ((["melt"], "argument command: invalid choice: 'melt'"),
+                          (["timeseries", "--bogus", "1"], "unrecognized arguments: --bogus 1")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: xy-quench ")
+        assert f"\nxy-quench: error: {message}" in err
+    assert main(["timeseries", "--help"]) == 0
+    assert "usage: xy-quench timeseries " in capsys.readouterr().out
 
 
 def test_cell_rendering():
@@ -234,6 +240,18 @@ def test_timeseries_csv_layout(tmp_path):
     config = ChainConfig(8, 1.0, 0.5, 1.001, 0.5)
     expected = pair_observables(config, 1, 0.5)
     assert [float(v) for v in rows[1][1:]] == list(expected)
+
+
+def test_csv_cells_are_str_of_the_json_values(tmp_path):
+    args = ("timeseries", *TINY, *QUENCH, "--time-average", "5")
+    (csv_code, text), (json_code, doc) = (_run(tmp_path, *args, fmt=fmt) for fmt in ("csv", "json"))
+    assert csv_code == json_code == 0
+    _, rows = _csv_rows(text)
+    json_rows = json.loads(doc)["rows"]
+    assert rows == [[str(v) for v in row] for row in json_rows]
+    # Only the t = inf and avg labels are text; JSON keeps every value a number.
+    assert [row[0] for row in json_rows] == [0.0, 0.5, 1.0, "inf", "avg"]
+    assert all(isinstance(v, float) for row in json_rows for v in row[1:])
 
 
 def test_timeseries_warns_when_unconverged(tmp_path, capsys):

@@ -234,6 +234,14 @@ def test_quench_series_rejects_a_pair_on_one_site():
         _assert_matches_full_route(n, 1.0, 0.5, 1.5, 0.5, [1.0], n - 1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_quench_series_rejects_non_finite_times(t):
+    # ED has no dephased limit (the mode pipeline's t = inf); such a time
+    # would only give NaN rows.
+    with pytest.raises(ValueError, match=f"ED needs finite times, got t = {t}$"):
+        ed.quench_series(6, 1.0, 0.5, 1.5, 0.5, [0.0, t, 1.0])
+
+
 def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
     # At kT = 0.5 the Gibbs factor has all K = 2^(n-1) columns per block, at
     # kT = 0 one or two; quench_series keeps a few K x K arrays, so the

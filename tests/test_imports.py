@@ -40,6 +40,22 @@ def _unread_private_names(source: str) -> list:
     return sorted(n for n in defined - read if n.startswith("_") and not n.startswith("__"))
 
 
+def _private_imports(source: str) -> list:
+    """Underscore names a module takes from another package module: imported
+    from a relative or xyquench module, or read as an attribute of one."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("xyquench")):
+            names = [alias.name for alias in node.names]
+            found += [name for name in names if name.startswith("_")]
+            if node.module in (None, "xyquench"):  # from . import ed: ed is a package module
+                modules.update(alias.asname or alias.name for alias in node.names)
+    found += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in modules and node.attr.startswith("_")]
+    return sorted(found)
+
+
 def test_cli_import_leaves_the_oracles_out():
     # No scipy module at all: the ED oracle is numpy only and dynamics loads
     # scipy.integrate, which the command line never needs.  Runs are one
@@ -59,6 +75,14 @@ def test_no_unused_imports():
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted(TESTS.glob("*.py"))
     found = {p.name: names for p in files if (names := _unused_imports(p.read_text()))}
+    assert found == {}
+
+
+def test_modules_take_no_private_names_from_each_other():
+    # Gamma, for one, stays reachable only through contraction_table.
+    source = "from .a import _b, c\nfrom xyquench.d import _e\nfrom . import f\nf._g, f.h\nfrom os import _x\n"
+    assert _private_imports(source) == ["_b", "_e", "_g"]
+    found = {p.name: names for p in sorted(SRC.glob("*.py")) if (names := _private_imports(p.read_text()))}
     assert found == {}
 
 
