@@ -171,7 +171,9 @@ def run_timeseries(spec: RunSpec):
     rows = [[t] + list(vals) for t, vals in zip(times + [math.inf], values)]
     if window:
         rows.append(["avg"] + list(np.mean(np.asarray(values[len(times) + 1 :]), axis=0)))
-    _convergence_check(spec, configs, points, values, range(min(CONVERGENCE_SAMPLES, len(times))))
+    # Samples spread over the whole grid, ends included: a finite ring departs late, not early.
+    samples = np.linspace(0, len(times) - 1, min(CONVERGENCE_SAMPLES, len(times))).round().astype(int)
+    _convergence_check(spec, configs, points, values, samples)
     return columns, rows, 0
 
 

@@ -45,27 +45,26 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def build_hamiltonian(n: int, gamma: float, h: float) -> np.ndarray:
-    """Dense real 2^n x 2^n Hamiltonian of the ring at field h.
+def build_hamiltonian(n: int, gamma: float, h: float, parity=None) -> np.ndarray:
+    """Dense real Hamiltonian of the ring at field h, on all 2^n states or one parity block.
 
     Site i is bit n-1-i of the basis index, a clear bit meaning sz = +1, so the
     diagonal is -h (n - 2 popcount).  Each bond flips its two bits, with
-    amplitude -gamma when they are equal and -1 when they differ.
+    amplitude -gamma when they are equal and -1 when they differ.  parity 0 or 1
+    keeps the states of even or odd popcount, in increasing index order; a flip
+    of two bits keeps the parity, so no entry of H leaves the block.
     """
     _check_sites(n)
-    states = np.arange(2**n)
-    ham = np.diag(-h * (n - 2.0 * _popcounts(n)))
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity must be None, 0 or 1, got {parity}")
+    states = np.arange(2**n) if parity is None else np.flatnonzero(_popcounts(n) % 2 == parity)
+    ham = np.diag(-h * (n - 2.0 * _popcounts(n)[states]))
+    rows = np.arange(len(states))
     for i in range(n):
         j = (i + 1) % n
         equal = ((states >> i) & 1) == ((states >> j) & 1)
-        ham[states, states ^ (1 << i | 1 << j)] = np.where(equal, -gamma, -1.0)
+        ham[rows, np.searchsorted(states, states ^ (1 << i | 1 << j))] = np.where(equal, -gamma, -1.0)
     return ham
-
-
-def _block_eigh(n: int, gamma: float, h: float, blocks) -> list:
-    """eigh of H(h) within each index block; the dense H is dropped on return."""
-    ham = build_hamiltonian(n, gamma, h)
-    return [np.linalg.eigh(ham[np.ix_(block, block)]) for block in blocks]
 
 
 def _gibbs_weights(evals: np.ndarray, kt: float) -> np.ndarray:
@@ -128,8 +127,8 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     other sites in the same order.  So rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
     with S = R R^T and V_i^T V_j formed once per block for all T times, then
     one (2T x K) @ (K x K) real product per entry, K = 2^(n-1).  G is never
-    formed, so c does not set the memory peak: the dense 2^n x 2^n H(a), then
-    H(b), that _block_eigh slices the blocks from, and the K x K arrays do.
+    formed and each block of H(a) and H(b) is built on its own, so the memory
+    peak is a few K x K arrays, and c adds only F's K x c columns to it.
     Times must be finite: unlike the mode pipeline, ED has no dephased t = inf.
 
     A block with no Gibbs weight (at kT = 0, a sector without ground states)
@@ -142,13 +141,12 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError(f"ED needs finite times, got t = {times[~np.isfinite(times)][0]}")
-    sectors = [np.flatnonzero(_popcounts(n) % 2 == p) for p in (0, 1)]
-    before = _block_eigh(n, gamma, a, sectors)
+    before = [np.linalg.eigh(build_hamiltonian(n, gamma, a, p)) for p in (0, 1)]
     # One ground energy, one kT = 0 rule and one Z for both sectors together.
     weights = np.split(_gibbs_weights(np.concatenate([evals for evals, _ in before]), kt), 2)
     # A block with no weight adds nothing to rho; its H(b) eigensolve is skipped.
     occupied = [k for k, w in enumerate(weights) if w.any()]
-    after = _block_eigh(n, gamma, b, [sectors[k] for k in occupied])
+    after = [np.linalg.eigh(build_hamiltonian(n, gamma, b, k)) for k in occupied]
     states = np.arange(2**n)
     pair = 2 * (states >> (n - 1) & 1) + (states >> (n - 1 - d % n) & 1)  # 00, 01, 10, 11 -> 0..3
     # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
@@ -158,7 +156,7 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
         # F is formed only after H(b)'s eigensolves, so the Gibbs rank c does not set the peak.
         w, vecs_a = weights[k], before[k][1]
         r = vecs.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^T F
-        quarters = vecs[np.argsort(pair[sectors[k]], kind="stable")].reshape(4, -1, len(evals))
+        quarters = vecs[np.argsort(pair[_popcounts(n) % 2 == k], kind="stable")].reshape(4, -1, len(evals))
         phases = np.stack([f(-np.outer(times, evals)) for f in (np.cos, np.sin)])  # p = phases[0] + i phases[1]
         s = r @ r.T
         for i, j in zip(rows, cols):

@@ -257,11 +257,23 @@ def test_csv_cells_are_str_of_the_json_values(tmp_path):
 def test_timeseries_warns_when_unconverged(tmp_path, capsys):
     code = main(["timeseries", *TINY, *QUENCH, "--out", str(tmp_path / "o.csv")])
     assert code == 0
-    # The alarm's value is max |C(2N) - C(N)| over the first 5 times.
+    # The alarm's value is max |C(2N) - C(N)| over 5 times spread evenly over
+    # the grid, ends included; TINY has only 3, so it takes them all.
     shift = max(abs(pair_observables(ChainConfig(16, 1.0, 0.5, 1.001, 0.5), 1, t)[4]
                     - pair_observables(ChainConfig(8, 1.0, 0.5, 1.001, 0.5), 1, t)[4])
                 for t in np.linspace(0.0, 1.0, 3)[:5])
     assert f"concurrence shifts by {shift:.2e} when N doubles" in capsys.readouterr().err
+
+
+def test_timeseries_alarm_samples_late_times(tmp_path, capsys):
+    # At N = 2000, C at t <= 800 moves by under 1e-4 when N doubles, and by
+    # 1.9e-2 at t = 1000, past the finite ring's revival.  The alarm reads
+    # t = 0, 400, 800, 1100 and 1500 and names the shift at t = 1100; the
+    # first 5 times (t <= 400) would leave it silent.
+    code = main(["timeseries", "--n-sites", "2000", *QUENCH, "--t-end", "1500", "--t-steps", "16",
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 0
+    assert "concurrence shifts by 1.13e-02 when N doubles from 2000" in capsys.readouterr().err
 
 
 def test_timeseries_without_quench_is_constant(tmp_path):

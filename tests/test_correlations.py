@@ -193,6 +193,15 @@ def test_finite_time_columns_near_the_poles_of_tan():
         assert np.max(np.abs(blocks.coherence[i] - rho[:, 0, 1])) < 1e-13
 
 
+def test_every_correlations_cache_is_a_factor_cache():
+    # factor_scope and the per-test leak check empty only _FACTOR_CACHES, so a
+    # cache left out of it would outlive runs and tests unseen.
+    caches = [obj for obj in vars(correlations).values() if hasattr(obj, "cache_parameters")]
+    names = sorted(cache.__name__ for cache in caches)
+    assert names == sorted(cache.__name__ for cache in correlations._FACTOR_CACHES)
+    assert {id(cache) for cache in caches} == {id(cache) for cache in correlations._FACTOR_CACHES}
+
+
 def test_a_finite_time_chunk_allocates_only_its_columns():
     # One timeseries chunk at N = 20000: 4 points x 10000 modes.  Beyond its
     # three (points x modes) columns w, x_b w and v, _batch may allocate only

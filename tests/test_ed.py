@@ -73,6 +73,21 @@ def test_hamiltonian_commutes_with_parity():
             assert not ham[np.ix_(~odd, odd)].any()
 
 
+def test_parity_blocks_are_the_blocks_of_the_full_hamiltonian():
+    # Each block lists its states in increasing index order, so it is the full
+    # H's block exactly, not just up to rounding.
+    for n in (4, 6, 8, 10):
+        odd = ed._popcounts(n) % 2 == 1
+        for gamma, h in FIELDS:
+            ham = ed.build_hamiltonian(n, gamma, h)
+            for parity, block in ((0, ~odd), (1, odd)):
+                s = np.flatnonzero(block)
+                assert np.array_equal(ed.build_hamiltonian(n, gamma, h, parity), ham[np.ix_(s, s)])
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match=f"parity must be None, 0 or 1, got {bad}$"):
+            ed.build_hamiltonian(6, 1.0, 1.0, bad)
+
+
 def test_site_range_validation():
     for bad in (3, 2, 14):
         with pytest.raises(ValueError):
@@ -209,8 +224,7 @@ def test_quench_series_matches_manual_composition():
     for n in (6, 8):
         for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4), (0.3, 0.2, 0.5)):
             if (gamma, a) == (0.3, 0.2):
-                ham_a, odd = ed.build_hamiltonian(n, gamma, a), ed._popcounts(n) % 2 == 1
-                lowest = [np.linalg.eigvalsh(ham_a[np.ix_(s, s)])[0] for s in (~odd, odd)]
+                lowest = [np.linalg.eigvalsh(ed.build_hamiltonian(n, gamma, a, p))[0] for p in (0, 1)]
                 assert lowest[1] < lowest[0] - 1e-3
             for kt in (0.0, 0.5):
                 for d in (1, 2, n - 1):
@@ -243,19 +257,23 @@ def test_quench_series_rejects_non_finite_times(t):
 
 
 def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
-    # At kT = 0.5 the Gibbs factor has all K = 2^(n-1) columns per block, at
-    # kT = 0 one or two; quench_series keeps a few K x K arrays, so the
-    # dense H and its blocks' eigensolves set the peak at both (at kT = 0,
-    # one eigensolve fewer: the odd sector has no weight and is skipped).
+    # At kT = 0.5 the Gibbs factor F has all K = 2^(n-1) columns per block, at
+    # kT = 0 one or two.  No 2^n x 2^n array is formed, so the peak counts
+    # K x K float64 arrays (2 MiB at n = 10): the blocks' eigenvectors and
+    # quench_series' products, about 6 at kT = 0 (the odd sector has no
+    # weight, so its H(b) eigensolve is skipped) and about 9 at kT = 0.5.
+    # A dense H of both sectors adds 2 at kT = 0; forming both blocks' F
+    # before the H(b) eigensolves adds 1 at kT = 0.5.
+    block = 8 * (2**9) ** 2
     peaks = []
     for kt in (0.0, 0.5):
         tracemalloc.start()
         try:
             ed.quench_series(10, 1.0, kt, 1.001, 0.5, np.linspace(0.0, 5.0, 6))
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] / block)
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.2 * peaks[0], [f"{peak / 2**20:.1f} MB" for peak in peaks]
+    assert peaks[0] <= 7.0 and peaks[1] <= 9.5, [f"{peak:.2f} K x K arrays" for peak in peaks]
 
 
 @pytest.mark.parametrize("t", [0.0, pytest.param(0.7, marks=pytest.mark.xfail(
