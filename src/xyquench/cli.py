@@ -187,9 +187,14 @@ def run_surface(spec: RunSpec):
         [cfg.field_before, cfg.field_after, vals[4], vals[5]]
         for cfg, vals in zip(configs, values)
     ]
-    size = len(grid)  # samples: (grid[i], grid[7 i]) mod size, as row-major indices
-    samples = [(i % size) * size + (i * 7) % size for i in range(CONVERGENCE_SAMPLES)]
-    _convergence_check(spec, configs, times, values, samples)
+    # Samples: indices ia of a and ib of b, each spread evenly over the grid with
+    # its ends; pairing the k-th a with the (k + 3 mod 5)-th b keeps them off the
+    # unquenched diagonal a = b, and only a 2-step grid needs the step to the next b.
+    size = len(grid)
+    ia = np.linspace(0, size - 1, CONVERGENCE_SAMPLES).round().astype(int)
+    ib = np.roll(ia, 2)
+    ib = np.where(ib == ia, (ia + 1) % size, ib)
+    _convergence_check(spec, configs, times, values, ia * size + ib)
     return columns, rows, 0
 
 

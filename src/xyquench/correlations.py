@@ -2,9 +2,10 @@
 
 With A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, every equal-time spin
 observable reduces to the three elementary contractions <B_l A_m>, <A_l A_m>
-and <B_l B_m>.  They depend only on the offset m - l, through three sums over
-the N/2 momentum modes: the cos- and sin-weighted halves C and S of <BA> and
-the imaginary part I shared by <AA> and <BB>.  The summands are the evolved
+and <B_l B_m>.  They depend only on the offset m - l, through three weighted
+mode sums sum_p weight_p f(phi_p) over the nodes of lattice.grid_arrays: the
+cos- and sin-weighted halves C and S of <BA> and the imaginary part I shared
+by <AA> and <BB>.  The summands are the evolved
 per-mode states of mode_blocks, the package's one closed form for them
 (dynamics reaches the same states by diagonalization, as a test oracle).
 Every factor of that form depends on the field a alone or on (b, t) alone,
@@ -96,10 +97,10 @@ class ModeBlocks(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi_p, cos(phi_p) and delta_p: the module's one read of the grid, cached with the factors."""
-    phi, delta = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
-    return _read_only(phi, np.cos(phi), delta)
+def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, ...]:
+    """phi_p, cos(phi_p), delta_p and weight_p: the module's one read of the grid, cached with the factors."""
+    phi, delta, weight = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
+    return _read_only(phi, np.cos(phi), delta, weight)
 
 
 def _read_only(*arrays):
@@ -112,7 +113,7 @@ def _read_only(*arrays):
 @lru_cache(maxsize=None)
 def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
     """Lambda(h) per mode, for a field before or after the quench alike."""
-    _, cos, delta = _grid(n_sites, gamma)
+    _, cos, delta, _ = _grid(n_sites, gamma)
     return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
 
 
@@ -133,7 +134,7 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     Only the last a is kept: a surface row or a time series meets its a in
     one stretch of consecutive batches.
     """
-    lam_a, (_, cos, delta) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
+    lam_a, (_, cos, delta, _) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
     if kt == 0.0:
         # Exactly degenerate modes are uniform at kT = 0 and contribute
         # nothing; nearby modes stay finite because |x_a|, |delta|/2 <= Lambda_a.
@@ -152,16 +153,17 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
 
 @lru_cache(maxsize=None)
 def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(d phi) and sin(d phi) for d = 0..d_max, as (offsets x modes) arrays."""
-    angle = np.multiply.outer(np.arange(d_max + 1, dtype=float), _grid(n_sites, gamma)[0])
-    return _read_only(np.cos(angle), np.sin(angle))
+    """weight cos(d phi) and weight sin(d phi) for d = 0..d_max, as (offsets x modes) arrays."""
+    phi, _, _, weight = _grid(n_sites, gamma)
+    angle = np.multiply.outer(np.arange(d_max + 1, dtype=float), phi)
+    return _read_only(weight * np.cos(angle), weight * np.sin(angle))
 
 
 @lru_cache(maxsize=1)
 def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
     """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
 
-    The tables are those of C, S and I: cos, sin and sin (see _gamma).
+    The tables are those of C, S and I: weighted cos, sin and sin (see _gamma).
     Only the last a is kept, as for _terms.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
@@ -196,7 +198,7 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
     _batch.cache_clear()  # free the previous batch before allocating this one
     n = configs[0].n_sites
     cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
-    w, xw = np.empty((2, len(configs), n // 2))
+    w, xw = np.empty((2, len(configs), cos.size))
     v = None if all(map(math.isinf, times)) else np.zeros_like(w)
     for key, rows in _runs([None if math.isinf(t) else (c.gamma, c.field_after)
                             for c, t in zip(configs, times)]):
@@ -291,8 +293,7 @@ def mode_blocks(config, t) -> ModeBlocks:
     """
     configs, times, single = _points(config, t)
     runs, columns = _batch(configs, times)
-    n = configs[0].n_sites
-    population, im, re = np.zeros((3, len(configs), n // 2))
+    population, im, re = np.zeros((3, *columns[0].shape))
     for _, rows, gap, terms in runs:
         for out, (head, scale, row), column in zip((population, im, re), terms, columns):
             if column is not None:
@@ -307,17 +308,17 @@ def mode_blocks(config, t) -> ModeBlocks:
 def magnetization_z(config, t):
     """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2.
 
-    That is the mode sum of rho22 - rho11 over N; C[0] weighs it by cos(0) = 1.
+    That is half the weighted mode sum sum_p weight_p (rho22 - rho11); C[0]
+    weighs it by cos(0) = 1.
     """
     configs, times, single = _points(config, t)
     runs, columns = _batch(configs, times)
-    n = configs[0].n_sites
+    half = 0.5 * _grid(configs[0].n_sites, configs[0].gamma)[3]
     mz = np.empty(len(configs))
     for _, rows, gap, terms in runs:
         head, scale, row = terms[0]
         column = columns[0][rows, None, :]
-        mz[rows] = head.sum() + scale * gap[:, 0] * np.matmul(column, row[:, None])[:, 0, 0]
-    mz /= n
+        mz[rows] = head @ half + scale * gap[:, 0] * np.matmul(column, (half * row)[:, None])[:, 0, 0]
     return float(mz[0]) if single else mz
 
 
@@ -326,8 +327,8 @@ def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     """contraction_table's stack for the points of _points, from the sums C, S and I.
 
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
-    are odd in d, C is even.  Per mode, C weighs 2(rho22 - rho11) by cos(d phi),
-    S weighs 4 Im rho12 and I weighs -4 Re rho12 by sin(d phi).  Per run of
+    are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
+    S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
     points sharing a, each sum over d = 0..d_max is head @ table.T plus the
     bilinear form column @ (table * row).T, taken as one (1 x modes) @
     (modes x offsets) product per point: the same BLAS call for every batch
@@ -344,7 +345,7 @@ def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
                 out[rows] = head
             if column is not None:
                 out[rows] += scale * gap * np.matmul(column[rows, None, :], table)[:, 0]
-    c, s, im = 2.0 * sums[0] / n, 4.0 * sums[1] / n, -4.0 * sums[2] / n
+    c, s, im = sums[0], 2.0 * sums[1], -2.0 * sums[2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]
     k, sign = np.abs(offset), np.sign(offset)

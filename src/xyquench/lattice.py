@@ -11,8 +11,9 @@ phi_p = 2*pi*p/N.  Each mode carries
 
 and everything downstream (the per-mode states of correlations.mode_blocks
 and the contractions summed over them) is built from these two quantities
-and cos(phi_p) + h.  grid_arrays is the one place phi_p and delta_p are
-formed; dispersion is the scalar formula, a reference for the tests.
+and cos(phi_p) + h.  Every mode sum is the weighted sum sum_p weight_p f(phi_p),
+with weight_p = 2/N.  grid_arrays is the one place phi_p, delta_p and the
+weights are formed; dispersion is the scalar formula, a reference for the tests.
 """
 
 from __future__ import annotations
@@ -51,15 +52,16 @@ class ChainConfig:
 
 
 def grid_arrays(config: ChainConfig):
-    """phi_p = 2*pi*p/N and delta_p for p = 1..N/2 as arrays.
+    """phi_p = 2*pi*p/N, delta_p and weight_p = 2/N for p = 1..N/2 as arrays.
 
-    The last entry is pinned to phi = pi, delta = 0 exactly; floating-point
-    sin(pi) would otherwise leave a ~1e-16 residue that breaks exact
-    degeneracy detection at the zone boundary.
+    sum_p weight_p f(phi_p) is the mode sum; the weights sum to 1.  The last
+    entry is pinned to phi = pi, delta = 0 exactly; floating-point sin(pi)
+    would otherwise leave a ~1e-16 residue that breaks exact degeneracy
+    detection at the zone boundary.
     """
     phi = 2.0 * np.pi * np.arange(1, config.n_sites // 2 + 1, dtype=float) / config.n_sites
     phi[-1] = np.pi
     delta = 2.0 * config.gamma * np.sin(phi)
     delta[-1] = 0.0
-    return phi, delta
+    return phi, delta, np.full(phi.size, 2.0 / config.n_sites)
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,21 @@ def test_timeseries_alarm_samples_late_times(tmp_path, capsys):
     assert "concurrence shifts by 1.13e-02 when N doubles from 2000" in capsys.readouterr().err
 
 
+def test_surface_alarm_samples_both_axes(tmp_path, capsys):
+    # At N = 8000 only rows a in [0.74, 0.94] with b >= 2.1 move by more than
+    # 1e-4 when N doubles.  The alarm reads rows and columns 0, 8, 15, 22 and
+    # 30 of the grid, row k with column k + 3 mod 5, and so meets (0.837, 3.0);
+    # the rows of the five smallest a alone leave it silent.
+    code = main(["surface", "--n-sites", "8000", "--kt", "0", "--grid-min", "0.05", "--grid-max", "3",
+                 "--grid-steps", "31", "--out", str(tmp_path / "o.csv")])
+    assert code == 0
+    grid = np.linspace(0.05, 3.0, 31)
+    shift = max(abs(pair_observables(ChainConfig(16000, 1.0, 0.0, grid[i], grid[j]), 1, math.inf)[4]
+                    - pair_observables(ChainConfig(8000, 1.0, 0.0, grid[i], grid[j]), 1, math.inf)[4])
+                for i, j in ((0, 22), (8, 30), (15, 0), (22, 8), (30, 15)))
+    assert f"concurrence shifts by {shift:.2e} when N doubles from 8000" in capsys.readouterr().err
+
+
 def test_timeseries_without_quench_is_constant(tmp_path):
     code, text = _run(
         tmp_path, "timeseries", "--n-sites", "64", "--t-steps", "5",
@@ -360,7 +376,13 @@ def test_numerical_failure_names_its_point(capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "N = 2000, kT = 0.0, a = 0.0, b = 0.0, d = 1, t = inf" in err
-    assert "exceeds sqrt(rho11 rho44) = 2.499998e-01 by 2.5e-07" in err
+    # There rho11 rho44 = (0.25 - 2.5e-7)^2, so sqrt(rho11 rho44) = 0.24999975
+    # is a tie between two 7-digit prints, and either rounding is correct: each
+    # printed value is checked to within half a unit of its 7th digit.
+    match = re.search(r"\|rho14\| = (\S+) exceeds sqrt\(rho11 rho44\) = (\S+) by 2\.5e-07 ", err)
+    assert match
+    assert abs(Decimal(match[1]) - Decimal("0.25")) <= Decimal("5e-8")
+    assert abs(Decimal(match[2]) - Decimal("0.24999975")) <= Decimal("5e-8")
 
 
 def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):

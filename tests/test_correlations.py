@@ -127,7 +127,7 @@ def test_pfaffian_signed_permutation_covariance():
 # ------------------------------------------------------------ contractions
 
 
-def test_contractions_are_sums_over_mode_states():
+def test_contractions_are_sums_over_mode_states(mode_rule):
     # Ties production to the spectral oracle of `dynamics`: mode_blocks holds
     # each mode's rho22 - rho11 and rho12, and
     # <B_l A_{l+d}> = (1/N) sum_p [2(rho22 - rho11) cos(d phi) + 4 Im rho12 sin(d phi)]
@@ -141,7 +141,7 @@ def test_contractions_are_sums_over_mode_states():
                 ChainConfig(10, 1.0, 0.8, 1.0, 1.0), ChainConfig(8, 1.0, 0.0, 1.0, 1.0),
                 ChainConfig(12, 0.8, 0.0, 1.0 - 1e-6, 0.4)]
     for c in configs:
-        phi, delta = grid_arrays(c)
+        phi, delta, _ = grid_arrays(c)
         times = (0.0, float(rng.uniform(0, 20)), math.inf)
         batch = mode_blocks(c, times)
         for i, t in enumerate(times):
@@ -161,6 +161,23 @@ def test_contractions_are_sums_over_mode_states():
                 aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
                 assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
                 assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
+    # Any rule of nodes and weights goes through the same closed form: here 5
+    # Gauss-Legendre nodes on (0, pi), whatever N says.
+    x, w = np.polynomial.legendre.leggauss(5)
+    phi, weight = np.pi * (x + 1.0) / 2.0, w / 2.0
+    mode_rule(lambda n_sites: (phi, weight))
+    times = (0.0, 1.3, math.inf)
+    for c in (ChainConfig(16, 0.7, 0.0, 0.6, 1.4), ChainConfig(16, 1.0, 0.5, 1.001, 0.5)):
+        assert mode_blocks(c, times).population.shape == (3, 5)
+        for t in times:
+            blocks = mode_blocks(c, t)
+            rho = np.array([spectral_mode_state(p, 2.0 * c.gamma * math.sin(p), c.field_before,
+                                                c.field_after, c.kt, t) for p in phi])
+            assert np.max(np.abs(blocks.population - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
+            assert np.max(np.abs(blocks.coherence - rho[:, 0, 1])) < 1e-13
+            gamma = contraction_table(c, t, 3)
+            assert np.max(np.abs(gamma - _gamma_from_mode_sums(c, t, 3, (phi, weight)))) <= 1e-13
+            assert abs(magnetization_z(c, t) - 0.5 * np.sum(weight * blocks.population)) <= 1e-13
 
 
 def test_finite_time_columns_near_the_poles_of_tan():
@@ -169,7 +186,7 @@ def test_finite_time_columns_near_the_poles_of_tan():
     # (|u| ~ 1e16, both signs) and of pi (u ~ 1e-16, both signs); b = 1 freezes
     # the phi = pi mode (L = 0), which takes the series limits instead.
     config = ChainConfig(8, 2.0, 0.3, 0.4, 1.0)
-    phi, delta = grid_arrays(config)
+    phi, delta, _ = grid_arrays(config)
     lam = np.hypot(np.cos(phi) + config.field_after, 0.5 * delta)
     assert lam[-1] < correlations.SERIES_EPS <= lam[:-1].min()
     times = []
@@ -221,18 +238,22 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
     assert peak <= 3 * 4 * modes * 8 + 3 * modes * 8
 
 
-def _gamma_from_mode_sums(config, t, d_max):
-    """Gamma of one point, summed mode by mode from mode_blocks of that point alone."""
+def _gamma_from_mode_sums(config, t, d_max, nodes=None):
+    """Gamma of one point, summed mode by mode from mode_blocks of that point alone.
+
+    nodes is the (phi, weight) of the rule that correlations sums over; by
+    default the paper grid's phi, with its weight 2/N written out here.
+    """
     with factor_scope():
         blocks = mode_blocks(config, t)
-    phi = grid_arrays(config)[0]
+    phi, weight = (grid_arrays(config)[0], 2.0 / config.n_sites) if nodes is None else nodes
     gamma = np.zeros((d_max + 1, 2, d_max + 1, 2), dtype=complex)
     for s in range(d_max + 1):
         for s2 in range(d_max + 1):
             cos_d, sin_d = np.cos((s2 - s) * phi), np.sin((s2 - s) * phi)
-            c = 2.0 * np.sum(blocks.population * cos_d) / config.n_sites
-            odd = 4.0 * np.sum(blocks.coherence.imag * sin_d) / config.n_sites
-            aa = -4.0 * np.sum(blocks.coherence.real * sin_d) / config.n_sites
+            c = np.sum(weight * blocks.population * cos_d)
+            odd = 2.0 * np.sum(weight * blocks.coherence.imag * sin_d)
+            aa = -2.0 * np.sum(weight * blocks.coherence.real * sin_d)
             gamma[s, 1, s2, 0] = c + odd  # <B_s A_s2>
             gamma[s, 0, s2, 1] = odd - c  # <A_s B_s2>
             if s != s2:

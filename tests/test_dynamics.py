@@ -14,7 +14,7 @@ from xyquench.lattice import ChainConfig, dispersion, grid_arrays
 
 def _modes(n=10, gamma=1.0):
     """The (phi, delta) of each grid mode."""
-    return list(zip(*grid_arrays(ChainConfig(n, gamma, 0.0, 1.0, 1.0))))
+    return list(zip(*grid_arrays(ChainConfig(n, gamma, 0.0, 1.0, 1.0))[:2]))
 
 
 def _random_mode(rng, gamma=None):

@@ -305,6 +305,24 @@ def _pipeline_gaps(n, gamma, kt, a, b, times):
     return gap_mz, gap_corr
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_ring_rule_equals_ed_at_zero_temperature(mode_rule, n):
+    # On the even parity sector's nodes (2p - 1) pi/N, p = 1..N/2, with weight
+    # 2/N, the mode sums are those of the finite ring wherever its ground state
+    # is even, as it is at each of these fields.
+    mode_rule(lambda n_sites: ((2.0 * np.arange(1, n_sites // 2 + 1) - 1.0) * np.pi / n_sites,
+                               np.full(n_sites // 2, 2.0 / n_sites)))
+    times = (0.0, 0.7, 3.3, 25.0)
+    for gamma, a, b in ((1.0, 1.5, 0.5), (0.6, 0.6, 1.4), (1.0, 0.5, 1.5), (1.0, 1.001, 0.5)):
+        even, odd = (np.linalg.eigvalsh(ed.build_hamiltonian(n, gamma, a, parity))[0] for parity in (0, 1))
+        assert even < odd - ed.GROUND_TOL
+        config = ChainConfig(n, gamma, 0.0, a, b)
+        for t, (*want, _) in zip(times, ed.quench_series(n, gamma, 0.0, a, b, times)):
+            got = (magnetization_z(config, t), correlator_xx(config, 1, t), correlator_yy(config, 1, t),
+                   correlator_zz(config, 1, t))
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
 def test_pipeline_oracle_gap_shrinks_with_n():
     # The mode picture differs from the true ring by a boundary term, so the
     # gap is O(1/N): magnetization bounded at N = 8 and every gap strictly

@@ -47,9 +47,9 @@ def test_chain_config_validation():
 
 
 def test_mode_grid_small_chains():
-    phis4 = [phi for phi, _ in zip(*grid_arrays(ChainConfig(4, 1.0, 0.0, 1.0, 1.0)))]
+    phis4 = [phi for phi, _ in zip(*grid_arrays(ChainConfig(4, 1.0, 0.0, 1.0, 1.0))[:2])]
     assert phis4 == pytest.approx([math.pi / 2, math.pi])
-    modes8 = list(zip(*grid_arrays(ChainConfig(8, 1.0, 0.0, 1.0, 1.0))))
+    modes8 = list(zip(*grid_arrays(ChainConfig(8, 1.0, 0.0, 1.0, 1.0))[:2]))
     assert [phi for phi, _ in modes8] == pytest.approx(
         [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     )
@@ -62,7 +62,7 @@ def test_mode_grid_is_pure():
 
 def test_grid_pins_zone_boundary_exactly():
     # sin(pi) in floats is ~1.2e-16; the grid must not leak that into delta.
-    phi, delta = grid_arrays(ChainConfig(10, 1.0, 0.0, 1.0, 1.0))
+    phi, delta, _ = grid_arrays(ChainConfig(10, 1.0, 0.0, 1.0, 1.0))
     assert phi[-1] == math.pi
     assert delta[-1] == 0.0
     # Production's Lambda row keeps the exact zero that DEGENERACY_EPS relies on.
@@ -73,7 +73,7 @@ def test_grid_pins_zone_boundary_exactly():
 
 def test_mode_quantities():
     config = ChainConfig(12, 0.5, 0.0, 1.0, 1.0)
-    phi, delta = grid_arrays(config)
+    phi, delta, _ = grid_arrays(config)
     for p, d in zip(phi, delta):
         assert 0.0 < p <= math.pi
         assert d == pytest.approx(2 * 0.5 * math.sin(p), abs=1e-15)
@@ -88,3 +88,6 @@ def test_mode_quantities():
 def test_mode_count():
     for n in (4, 8, 30, 200):
         assert len(list(zip(*grid_arrays(ChainConfig(n, 1.0, 0.0, 0.0, 0.0))))) == n // 2
+        weight = grid_arrays(ChainConfig(n, 1.0, 0.0, 0.0, 0.0))[2]
+        assert (weight == 2.0 / n).all()
+        assert abs(math.fsum(weight) - 1.0) <= 1e-15
