@@ -1,11 +1,14 @@
-"""Exact-diagonalization oracle for small rings, in the two parity sectors.
+"""Exact-diagonalization oracle for small rings, in (parity, momentum) blocks.
 
     H = -(1+gamma)/2 sum sx_i sx_{i+1} - (1-gamma)/2 sum sy_i sy_{i+1}
         - h sum sz_i              (periodic, coupling 1)
 
-is real in the z basis and commutes with the parity prod_i sz_i, so basis
-states of even and of odd popcount span two blocks that H never couples;
-``quench_series`` traces each half-size block of the Gibbs state down to the
+is real in the z basis and commutes with the parity prod_i sz_i and with the
+one-site translation T, so it never leaves a block of one parity and one
+momentum k = 2 pi m / n, spanned by the orbit sums of T (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010)); the blocks have about 2^(n-1) / n states.
+``quench_series`` builds H and the pair's X-state entries on each block from
+the orbit representatives, traces each block of the Gibbs state down to the
 pair once, in H(b)'s eigenbasis, for all times, and skips a block with no
 Gibbs weight.  No fermion mapping enters.
 The mode pipeline agrees with this oracle only to O(1/N), so comparisons
@@ -45,26 +48,100 @@ def _popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def build_hamiltonian(n: int, gamma: float, h: float, parity=None) -> np.ndarray:
-    """Dense real Hamiltonian of the ring at field h, on all 2^n states or one parity block.
+@functools.lru_cache(maxsize=None)
+def _orbits(n: int):
+    """(rep, shift, period) of each basis state under the translation T; read-only.
 
-    Site i is bit n-1-i of the basis index, a clear bit meaning sz = +1, so the
-    diagonal is -h (n - 2 popcount).  Each bond flips its two bits, with
-    amplitude -gamma when they are equal and -1 when they differ.  parity 0 or 1
-    keeps the states of even or odd popcount, in increasing index order; a flip
-    of two bits keeps the parity, so no entry of H leaves the block.
+    T moves site i to site i + 1, a right rotation of the index by one bit.
+    rep is the state's smallest rotation, the state is T^shift rep, and period
+    is the size of its orbit, the least R > 0 with T^R state = state.
+    """
+    rotations = [np.arange(2**n)]  # T^r of every state, r = 0..n
+    for _ in range(n):
+        rotations.append(rotations[-1] >> 1 | (rotations[-1] & 1) << (n - 1))
+    rotations = np.array(rotations)
+    first = rotations[:n].argmin(axis=0)  # T^first state = rep
+    tables = (rotations[first, rotations[0]], (n - first) % n, (rotations[1:] == rotations[0]).argmax(axis=0) + 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _blocks(n: int):
+    """(parity, m, representatives) of each block that H never leaves, parity-major.
+
+    The momentum states of k = 2 pi m / n are the orbit sums
+    |a(k)> = sum_{r < R} e^{-ikr} T^r |a> / sqrt(R), T|a(k)> = e^{ik} |a(k)>,
+    nonzero when m R = 0 (mod n).  A block lists its representatives in
+    increasing order; the block sizes sum to 2^n.
+    """
+    rep, _, period = _orbits(n)
+    reps = np.flatnonzero(rep == np.arange(2**n))
+    blocks = tuple((p, m, reps[(_popcounts(n)[reps] % 2 == p) & (m * period[reps] % n == 0)])
+                   for p in (0, 1) for m in range(n))
+    for _, _, members in blocks:
+        members.flags.writeable = False
+    return blocks
+
+
+def _bond(gamma: float, h: float) -> np.ndarray:
+    """-(1+gamma)/2 sx sx - (1-gamma)/2 sy sy - h/2 (sz 1 + 1 sz) on one bond, basis 00, 01, 10, 11.
+
+    Equal spins flip together with amplitude -gamma, opposite ones with -1;
+    the sum over the n bonds is H.
+    """
+    return np.array([[-h, 0.0, 0.0, -gamma], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [-gamma, 0.0, 0.0, h]])
+
+
+def _pair_terms(n: int, states: np.ndarray, d: int, ops):
+    """(operator, column, image state, amplitude) of each term of sum_l op_{l, l+d} on the given states.
+
+    ops is a stack of operators on sites (l, l + d) in the basis 00, 01, 10,
+    11, site l first and 1 a down spin: the image of a state whose pair is in
+    i, with amplitude op[j, i], has that pair set to j.  Site l is bit n-1-l
+    of the index.
+    """
+    sites = np.arange(n)[:, None]
+    first, second = n - 1 - sites, n - 1 - (sites + d) % n
+    pair = 2 * (states >> first & 1) + (states >> second & 1)
+    terms = []
+    for e, j, i in zip(*np.nonzero(ops)):
+        site, col = np.nonzero(pair == i)
+        flip = ((i ^ j) >> 1) << first[site, 0] | ((i ^ j) & 1) << second[site, 0]
+        terms.append((np.full(len(col), e), col, states[col] ^ flip, np.full(len(col), ops[e][j, i])))
+    return tuple(np.concatenate(part) for part in zip(*terms))
+
+
+def build_hamiltonian(n: int, gamma: float, h: float) -> np.ndarray:
+    """Dense real Hamiltonian of the ring at field h, on all 2^n states.
+
+    Site i is bit n-1-i of the basis index, a clear bit meaning sz = +1; H is
+    the sum of ``_bond`` over the n bonds (i, i + 1).
     """
     _check_sites(n)
-    if parity not in (None, 0, 1):
-        raise ValueError(f"parity must be None, 0 or 1, got {parity}")
-    states = np.arange(2**n) if parity is None else np.flatnonzero(_popcounts(n) % 2 == parity)
-    ham = np.diag(-h * (n - 2.0 * _popcounts(n)[states]))
-    rows = np.arange(len(states))
-    for i in range(n):
-        j = (i + 1) % n
-        equal = ((states >> i) & 1) == ((states >> j) & 1)
-        ham[rows, np.searchsorted(states, states ^ (1 << i | 1 << j))] = np.where(equal, -gamma, -1.0)
+    _, col, image, amp = _pair_terms(n, np.arange(2**n), 1, [_bond(gamma, h)])
+    ham = np.zeros((2**n, 2**n))
+    np.add.at(ham, (image, col), amp)
     return ham
+
+
+def _block_operator(n: int, m: int, reps: np.ndarray, d: int, ops) -> np.ndarray:
+    """sum_l op_{l, l+d} for each op of ops on the momentum states k = 2 pi m / n of reps.
+
+    An image T^s |b> of a representative a adds amp e^{iks} sqrt(R_a / R_b)
+    to <b(k)|O|a(k)>; an image whose orbit has no state at k is dropped, since
+    its terms cancel.
+    """
+    rep, shift, period = _orbits(n)
+    index, col, image, amp = _pair_terms(n, reps, d, ops)
+    target = rep[image]
+    row = np.minimum(np.searchsorted(reps, target), len(reps) - 1)
+    keep = reps[row] == target
+    value = amp * np.exp(2j * np.pi * (m * shift[image] % n) / n) * np.sqrt(period[reps[col]] / period[target])
+    blocks = np.zeros((len(ops), len(reps), len(reps)), dtype=complex)
+    np.add.at(blocks, (index[keep], row[keep], col[keep]), value[keep])
+    return blocks
 
 
 def _gibbs_weights(evals: np.ndarray, kt: float) -> np.ndarray:
@@ -119,21 +196,22 @@ def pair_correlators(state: np.ndarray, i: int, j: int):
 def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d: int = 1):
     """Oracle observables (M_z, S^x, S^y, S^z, rho_pair) for each requested time.
 
-    Each parity block of rho0 is F F^T, F = V_a sqrt(w) over the block's c
-    nonzero Gibbs weights, and R = V_b^T F; at time t the block is G G^dagger,
-    G = V_b p R with p = exp(-i E_b t).  V_b's rows are sorted once by the pair
-    state i of sites 0 and d, so the rows V_i in state i are a quarter of V_b,
-    and the quarters of an X-state entry rho_ij (i, j of equal parity) list the
-    other sites in the same order.  So rho_ij(t) = p^T [S o (V_i^T V_j)] p*,
-    with S = R R^T and V_i^T V_j formed once per block for all T times, then
-    one (2T x K) @ (K x K) real product per entry, K = 2^(n-1).  G is never
-    formed and each block of H(a) and H(b) is built on its own, so the memory
-    peak is a few K x K arrays, and c adds only F's K x c columns to it.
-    Times must be finite: unlike the mode pipeline, ED has no dephased t = inf.
+    H commutes with the parity and with T, and so does rho(t), so the X-state
+    entry rho_ij = Tr[rho(t) |j><i|] of the pair (0, d) is also the trace
+    against O = (1/n) sum_l |j><i|_{l, l+d}, which ``_block_operator`` builds
+    on each (parity, momentum) block from the representatives alone.  In a
+    block, rho0 = F F^dagger with F = V_a sqrt(w) over the block's c nonzero
+    Gibbs weights, R = V_b^dagger F and S = R R^dagger; with
+    p = exp(-i E_b t), rho_ij(t) = p^T [S o (V_b^dagger O V_b)^T] p*, so each
+    entry costs one (T x K) @ (K x K) complex product per block, K about
+    2^(n-1) / n.  No 2^n-sized array is formed: the memory peak is the H(a)
+    eigenvectors of all blocks, 16 sum K^2 bytes (0.8 MiB at n = 10), plus a
+    few arrays of one block.  Times must be finite: unlike the mode
+    pipeline, ED has no dephased t = inf.
 
-    A block with no Gibbs weight (at kT = 0, a sector without ground states)
-    is skipped, H(b) included.  rho_pair sums the blocks; M_z is <S^z> of
-    site 0, since the ring's state is translation invariant.
+    The Gibbs weights come from all blocks' spectra together.  A block with
+    no Gibbs weight (at kT = 0, a block without ground states) is skipped,
+    H(b) included.  rho_pair sums the blocks; M_z is <S^z> of site 0.
     """
     _check_sites(n)
     if d % n == 0:
@@ -141,28 +219,26 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError(f"ED needs finite times, got t = {times[~np.isfinite(times)][0]}")
-    before = [np.linalg.eigh(build_hamiltonian(n, gamma, a, p)) for p in (0, 1)]
-    # One ground energy, one kT = 0 rule and one Z for both sectors together.
-    weights = np.split(_gibbs_weights(np.concatenate([evals for evals, _ in before]), kt), 2)
-    # A block with no weight adds nothing to rho; its H(b) eigensolve is skipped.
-    occupied = [k for k, w in enumerate(weights) if w.any()]
-    after = [np.linalg.eigh(build_hamiltonian(n, gamma, b, k)) for k in occupied]
-    states = np.arange(2**n)
-    pair = 2 * (states >> (n - 1) & 1) + (states >> (n - 1 - d % n) & 1)  # 00, 01, 10, 11 -> 0..3
+    blocks = _blocks(n)
+    before = [np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, a)])[0]) for _, m, reps in blocks]
+    # One ground energy, one kT = 0 rule and one Z for all blocks together.
+    weights = _gibbs_weights(np.concatenate([evals for evals, _ in before]), kt)
+    weights = np.split(weights, np.cumsum([len(reps) for _, _, reps in blocks])[:-1])
     # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
     rows, cols = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]).T
+    entries = np.zeros((len(rows), 4, 4))
+    entries[np.arange(len(rows)), cols, rows] = 1.0 / n  # |j><i| / n
     rho = np.zeros((len(times), 4, 4), dtype=complex)
-    for k, (evals, vecs) in zip(occupied, after):
-        # F is formed only after H(b)'s eigensolves, so the Gibbs rank c does not set the peak.
-        w, vecs_a = weights[k], before[k][1]
-        r = vecs.T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^T F
-        quarters = vecs[np.argsort(pair[_popcounts(n) % 2 == k], kind="stable")].reshape(4, -1, len(evals))
-        phases = np.stack([f(-np.outer(times, evals)) for f in (np.cos, np.sin)])  # p = phases[0] + i phases[1]
-        s = r @ r.T
-        for i, j in zip(rows, cols):
-            # parts[u, v] = phases[u] M phases[v] at each time, for M = S o (V_i^T V_j).
-            parts = np.einsum("utk,vtk->uvt", phases @ (s * (quarters[i].T @ quarters[j])), phases)
-            rho[:, i, j] += parts[0, 0] + parts[1, 1] + 1j * (parts[1, 0] - parts[0, 1])
+    for (_, m, reps), (_, vecs_a), w in zip(blocks, before, weights):
+        if not w.any():  # adds nothing to rho; its H(b) eigensolve is skipped
+            continue
+        evals, vecs = np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, b)])[0])
+        r = vecs.conj().T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^dagger F
+        s = r @ r.conj().T
+        # X[e] = S o (V_b^dagger O_e V_b)^T for the six entries e.
+        x = s * (vecs.conj().T @ _block_operator(n, m, reps, d, entries) @ vecs).transpose(0, 2, 1)
+        phases = np.exp(-1j * np.outer(times, evals))
+        rho[:, rows, cols] += np.einsum("etk,tk->te", phases @ x, phases.conj())
     # rho is Hermitian: a real diagonal, and lower corners conjugate to the upper ones.
     rho.imag[:, rows[:4], rows[:4]] = 0.0
     rho[:, cols[4:], rows[4:]] = rho[:, rows[4:], cols[4:]].conj()

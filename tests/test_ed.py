@@ -40,17 +40,19 @@ def test_polarized_diagonal_element():
 FIELDS = ((1.0, 0.0), (1.0, 1.5), (0.8, 1.1), (0.6, 0.4), (0.3, 2.0))
 
 
-def _kron_hamiltonian(n, gamma, h):
-    """Reference H as a sum of Kronecker products, site 0 as the first factor."""
-    def site_product(ops):
-        return functools.reduce(np.kron, [ops.get(k, np.eye(2)) for k in range(n)])
+def _site_product(n, ops):
+    """Kronecker product of ops[k] on site k (identity elsewhere), site 0 as the first factor."""
+    return functools.reduce(np.kron, [ops.get(k, np.eye(2)) for k in range(n)])
 
+
+def _kron_hamiltonian(n, gamma, h):
+    """Reference H as a sum of Kronecker products."""
     ham = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         j = (i + 1) % n
-        ham -= 0.5 * (1.0 + gamma) * site_product({i: ed.SX, j: ed.SX})
-        ham -= 0.5 * (1.0 - gamma) * site_product({i: ed.SY, j: ed.SY})
-        ham -= h * site_product({i: ed.SZ})
+        ham -= 0.5 * (1.0 + gamma) * _site_product(n, {i: ed.SX, j: ed.SX})
+        ham -= 0.5 * (1.0 - gamma) * _site_product(n, {i: ed.SY, j: ed.SY})
+        ham -= h * _site_product(n, {i: ed.SZ})
     return ham
 
 
@@ -63,8 +65,8 @@ def test_hamiltonian_matches_kronecker_reference():
 
 
 def test_hamiltonian_commutes_with_parity():
-    # Entries between even- and odd-popcount states are exactly zero, so the
-    # two parity blocks of quench_series drop nothing.
+    # Entries between even- and odd-popcount states are exactly zero, so no
+    # block of quench_series couples the two sectors.
     for n in (4, 6, 8):
         odd = np.array([bin(k).count("1") % 2 for k in range(2**n)], dtype=bool)
         for gamma, h in FIELDS:
@@ -73,19 +75,69 @@ def test_hamiltonian_commutes_with_parity():
             assert not ham[np.ix_(~odd, odd)].any()
 
 
-def test_parity_blocks_are_the_blocks_of_the_full_hamiltonian():
-    # Each block lists its states in increasing index order, so it is the full
-    # H's block exactly, not just up to rounding.
-    for n in (4, 6, 8, 10):
-        odd = ed._popcounts(n) % 2 == 1
-        for gamma, h in FIELDS:
-            ham = ed.build_hamiltonian(n, gamma, h)
-            for parity, block in ((0, ~odd), (1, odd)):
-                s = np.flatnonzero(block)
-                assert np.array_equal(ed.build_hamiltonian(n, gamma, h, parity), ham[np.ix_(s, s)])
-    for bad in (2, -1, 0.5):
-        with pytest.raises(ValueError, match=f"parity must be None, 0 or 1, got {bad}$"):
-            ed.build_hamiltonian(6, 1.0, 1.0, bad)
+def _translation_powers(n):
+    """T^r for r = 0..n-1 as permutation matrices, T moving site i to site i + 1."""
+    states = np.arange(2**n)
+    image = sum(((states >> (n - 1 - i)) & 1) << (n - 1 - (i + 1) % n) for i in range(n))
+    t = np.zeros((2**n, 2**n))
+    t[image, states] = 1.0
+    return [np.linalg.matrix_power(t, r) for r in range(n)]
+
+
+def _momentum_basis(n, p, m, powers):
+    """Representatives and orbit sums e^(-ikr) T^r |a> / sqrt(R), r < R, of block (p, m), by definition."""
+    orbits = np.array([power.argmax(axis=0) for power in powers])  # orbits[r, a] = T^r a
+    reps, columns = [], []
+    for a in range(2**n):
+        period = next(r for r in range(1, n + 1) if r == n or orbits[r, a] == a)
+        if a == orbits[:, a].min() and bin(a).count("1") % 2 == p and m * period % n == 0:
+            reps.append(a)
+            columns.append(sum(np.exp(-2j * np.pi * m * r / n) * powers[r][:, a] for r in range(period))
+                           / math.sqrt(period))
+    return reps, np.array(columns).T
+
+
+def _pair_sum(n, d, op, powers):
+    """sum_l op on sites (l, l + d), op in the basis 00, 01, 10, 11, from Kronecker products and T."""
+    ket = np.eye(2)
+    pair = sum(op[j, i] * _site_product(n, {0: np.outer(ket[j >> 1], ket[i >> 1]), d: np.outer(ket[j & 1], ket[i & 1])})
+               for j in range(4) for i in range(4))
+    return sum(power @ pair @ power.T for power in powers)
+
+
+def test_momentum_blocks_are_the_blocks_of_the_full_hamiltonian():
+    # Each (parity, momentum) block of H, and of a dense pair operator summed
+    # over the ring as the X-state entries are, equals B^dagger O B with B the
+    # block's orbit sums built from T as a permutation matrix.  The blocks'
+    # columns together are a unitary, so no state is lost or counted twice.
+    op = np.random.default_rng(0).standard_normal((4, 4))
+    for n in (4, 5, 6, 7, 8):
+        powers = _translation_powers(n)
+        hams = [ed.build_hamiltonian(n, gamma, h) for gamma, h in FIELDS]
+        pair_sums = {d: _pair_sum(n, d, op, powers) for d in (1, 2, n - 1)}
+        bases = []
+        for p, m, reps in ed._blocks(n):
+            want, basis = _momentum_basis(n, p, m, powers)
+            assert reps.tolist() == want
+            for (gamma, h), ham in zip(FIELDS, hams):
+                block = ed._block_operator(n, m, reps, 1, [ed._bond(gamma, h)])[0]
+                assert np.max(np.abs(block - basis.conj().T @ ham @ basis)) < 1e-12
+            for d, full in pair_sums.items():
+                block = ed._block_operator(n, m, reps, d, [op])[0]
+                assert np.max(np.abs(block - basis.conj().T @ full @ basis)) < 1e-12
+            bases.append(basis)
+        assert sum(len(reps) for _, _, reps in ed._blocks(n)) == 2**n
+        unitary = np.hstack(bases)
+        assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(2**n))) < 1e-12
+
+
+def _sector_lowest(n, gamma, h):
+    """Lowest level of the even and of the odd parity sector, each the minimum over its momentum blocks."""
+    lowest = [math.inf, math.inf]
+    for p, m, reps in ed._blocks(n):
+        block = ed._block_operator(n, m, reps, 1, [ed._bond(gamma, h)])[0]
+        lowest[p] = min(lowest[p], np.linalg.eigvalsh(block)[0])
+    return lowest
 
 
 def test_site_range_validation():
@@ -211,30 +263,46 @@ def _assert_matches_full_route(n, gamma, kt, a, b, times, d):
 
 
 def test_quench_series_matches_manual_composition():
-    # The parity-blocked route against thermal_state + evolve on the full
-    # matrix.  At gamma = 1, a = 0 the kT = 0 ground pair is exactly degenerate
-    # with one state in each sector, so a ground space kept to one sector
-    # fails there; at a != 0 the odd sector's lowest level lies above the
-    # ground, so weights shifted per sector fail; weights normalized per
-    # sector fail everywhere.  At gamma = 0.3, a = 0.2 the ground state is odd,
-    # so at kT = 0 the even block has no weight and is skipped.  d = n - 1 is
-    # the pair across the ring's seam; t = 25 is past the small rings'
-    # revivals.
+    # The block route against thermal_state + evolve on the full matrix.  At
+    # gamma = 1, a = 0 the kT = 0 ground pair is exactly degenerate with one
+    # state in each parity sector, so a ground space kept to one block fails
+    # there; at a != 0 the other blocks' lowest levels lie above the ground,
+    # so weights shifted per block fail; weights normalized per block fail
+    # everywhere.  At gamma = 0.3, a = 0.2 the ground state is odd at n = 6
+    # and 8, so at kT = 0 the even blocks have no weight and are skipped.
+    # n = 4 has orbits of period 1 and 2 (0000, 0101); n = 5 is an odd ring,
+    # with no k = pi block.  d = n - 1 is the pair across the ring's seam;
+    # t = 25 is past the small rings' revivals.
     times = (0.0, 1.3, 4.1, 25.0)
-    for n in (6, 8):
+    for n in (4, 5, 6, 8):
         for gamma, a, b in ((1.0, 0.0, 0.5), (1.0, 1.001, 0.5), (0.6, 1.3, 0.4), (0.3, 0.2, 0.5)):
-            if (gamma, a) == (0.3, 0.2):
-                lowest = [np.linalg.eigvalsh(ed.build_hamiltonian(n, gamma, a, p))[0] for p in (0, 1)]
-                assert lowest[1] < lowest[0] - 1e-3
+            if (gamma, a) == (0.3, 0.2) and n in (6, 8):
+                even, odd = _sector_lowest(n, gamma, a)
+                assert odd < even - 1e-3
             for kt in (0.0, 0.5):
                 for d in (1, 2, n - 1):
                     _assert_matches_full_route(n, gamma, kt, a, b, times, d)
     # kT = 0.02 at n = 8: part of the Gibbs weights underflow to 0, leaving
-    # c = 85 and 72 of the K = 128 factor columns per block.
+    # 157 of the 256 factor columns, 8 to 13 in each of the 16 blocks.
     _assert_matches_full_route(8, 1.0, 0.02, 1.5, 0.5, times, 2)
     # Times as a numpy array, and no times at all.
     _assert_matches_full_route(6, 1.0, 0.0, 1.5, 0.5, np.linspace(0.0, 25.0, 26), 1)
     assert ed.quench_series(6, 1.0, 0.5, 1.5, 0.5, []) == []
+
+
+def test_two_sector_ground_solves_h_b_only_in_its_blocks(monkeypatch):
+    # At gamma = 1, a = 0 the kT = 0 ground pair is the even and the odd
+    # combination of the two x-polarized states, both at k = 0: beside the
+    # 2n H(a) eigensolves, only those two blocks solve H(b).
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: sizes.append(len(matrix)) or eigh(matrix))
+    rows = ed.quench_series(10, 1.0, 0.0, 0.0, 0.5, np.linspace(0.0, 5.0, 6))
+    blocks = ed._blocks(10)
+    assert [(p, m) for p, m, _ in blocks[::10]] == [(0, 0), (1, 0)]
+    assert sizes == [len(reps) for _, _, reps in blocks] + [len(blocks[0][2]), len(blocks[10][2])]
+    for *_, pair in rows:
+        assert np.trace(pair).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quench_series_rejects_a_pair_on_one_site():
@@ -257,23 +325,24 @@ def test_quench_series_rejects_non_finite_times(t):
 
 
 def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
-    # At kT = 0.5 the Gibbs factor F has all K = 2^(n-1) columns per block, at
-    # kT = 0 one or two.  No 2^n x 2^n array is formed, so the peak counts
-    # K x K float64 arrays (2 MiB at n = 10): the blocks' eigenvectors and
-    # quench_series' products, about 6 at kT = 0 (the odd sector has no
-    # weight, so its H(b) eigensolve is skipped) and about 9 at kT = 0.5.
-    # A dense H of both sectors adds 2 at kT = 0; forming both blocks' F
-    # before the H(b) eigensolves adds 1 at kT = 0.5.
-    block = 8 * (2**9) ** 2
+    # At kT = 0.5 each block's Gibbs factor F has all its columns, at kT = 0
+    # only the ground block's one.  The H(a) eigenvectors of all blocks are
+    # kept through the loop over blocks, so the peak counts their bytes,
+    # 16 sum K^2 (0.80 MiB at n = 10, blocks of K = 48 to 56 states): about
+    # 2.12 at kT = 0 and 2.42 at kT = 0.5, the rest being one block's H(b)
+    # eigenvectors and its six pair operators on their way to the X arrays.  One 2^n x 2^n float64
+    # array (8 MiB), or one K x K array of a parity block (2 MiB), would
+    # exceed both bounds.
+    unit = 16 * sum(len(reps) ** 2 for _, _, reps in ed._blocks(10))  # also builds the cached tables
     peaks = []
     for kt in (0.0, 0.5):
         tracemalloc.start()
         try:
             ed.quench_series(10, 1.0, kt, 1.001, 0.5, np.linspace(0.0, 5.0, 6))
-            peaks.append(tracemalloc.get_traced_memory()[1] / block)
+            peaks.append(tracemalloc.get_traced_memory()[1] / unit)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 7.0 and peaks[1] <= 9.5, [f"{peak:.2f} K x K arrays" for peak in peaks]
+    assert peaks[0] <= 2.2 and peaks[1] <= 2.5, [f"{peak:.2f} x all blocks' eigenvectors" for peak in peaks]
 
 
 @pytest.mark.parametrize("t", [0.0, pytest.param(0.7, marks=pytest.mark.xfail(
@@ -314,7 +383,7 @@ def test_ring_rule_equals_ed_at_zero_temperature(mode_rule, n):
                                np.full(n_sites // 2, 2.0 / n_sites)))
     times = (0.0, 0.7, 3.3, 25.0)
     for gamma, a, b in ((1.0, 1.5, 0.5), (0.6, 0.6, 1.4), (1.0, 0.5, 1.5), (1.0, 1.001, 0.5)):
-        even, odd = (np.linalg.eigvalsh(ed.build_hamiltonian(n, gamma, a, parity))[0] for parity in (0, 1))
+        even, odd = _sector_lowest(n, gamma, a)
         assert even < odd - ed.GROUND_TOL
         config = ChainConfig(n, gamma, 0.0, a, b)
         for t, (*want, _) in zip(times, ed.quench_series(n, gamma, 0.0, a, b, times)):
