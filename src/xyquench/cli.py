@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .correlations import correlator_xx, correlator_yy, correlator_zz, factor_scope, magnetization_z
+from .correlations import CHUNK_ELEMENTS, correlator_xx, correlator_yy, correlator_zz, factor_scope, magnetization_z
 from .ed import quench_series
 from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state
 from .errors import NumericalError, at_point
@@ -48,12 +48,6 @@ FLAGS = {
 CONVERGENCE_TOL = 1e-4
 CONVERGENCE_SAMPLES = 5
 AVERAGE_SAMPLES = 200
-# Points x modes in one chunk of a batched evaluation: 4 times at N = 20000,
-# 40 points at N = 2000.  It bounds the chunk's (points x modes) arrays, the
-# (b, t) columns of correlations.mode_blocks at 8 bytes per element each: w
-# and x_b w, and v at finite t, formed with no other (points x modes) array;
-# at 60000 the peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
-CHUNK_ELEMENTS = 40000
 
 
 @dataclass(frozen=True)
@@ -129,13 +123,15 @@ def pair_observables(config: ChainConfig, d: int, t: float):
 def _evaluate(configs: list, d: int, times: list) -> list:
     """pair_observables at every point (configs of one ring size), in point order.
 
-    The points go in chunks of CHUNK_ELEMENTS // (N/2) points, at least one,
-    in one factor_scope: each field's mode factors are computed once per run,
-    and none outlive the call.  The correlators run on a whole chunk; the
-    two-site state, concurrence and EoF run point by point in order, so the
-    first non-physical point is the one reported, with its location.
+    Gamma, the three strings and M_z run once per chunk of
+    CHUNK_ELEMENTS // (4 (2d + 2)^2) points (625 at d = 1), sized by Gamma's
+    complex entries; correlations streams the (points x modes) columns in
+    blocks of its own.  One factor_scope computes each field's mode factors
+    once per run, and none outlive the call.  The two-site state, concurrence
+    and EoF run point by point in order, so the first non-physical point is
+    the one reported, with its location.
     """
-    size = max(1, CHUNK_ELEMENTS // (configs[0].n_sites // 2))
+    size = max(1, CHUNK_ELEMENTS // (4 * (2 * d + 2) ** 2))
     rows = []
     with factor_scope():
         for i in range(0, len(configs), size):

@@ -21,10 +21,11 @@ sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares; a
 sequence may be a list, a tuple or a numpy array.  A NaN time is invalid, and
 so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _batch).
-A batch is evaluated as (points x modes) arrays of its (b, t) columns and
-gives results with a leading points axis; one point is the batch of one and
-gives its entry.  The batches evaluated inside one factor_scope share each
-field's mode factors.
+A batch is evaluated from (points x modes) arrays of its (b, t) columns,
+streamed in blocks for the contraction sums, and gives results with a
+leading points axis; one point is the batch of one and gives its entry.
+The batches evaluated inside one factor_scope share each field's mode
+factors, and a batch's strings and magnetization share its Gamma.
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -58,6 +59,11 @@ DEGENERACY_EPS = 1e-12
 # Correlators are real; anything above this imaginary residue means the
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
+# Points x modes in one block of (b, t) columns (_contractions): 4 times at
+# N = 20000, 40 points at N = 2000.  It bounds the block's columns w, x_b w
+# and v, 8 bytes per element each, formed with no other (points x modes)
+# array; at 60000 the peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
+CHUNK_ELEMENTS = 40000
 
 
 def _points(config, t):
@@ -182,7 +188,6 @@ def _runs(keys):
         start = stop
 
 
-@lru_cache(maxsize=1)
 def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
     """(runs, columns): a batch in the factorised form of mode_blocks.
 
@@ -192,10 +197,8 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
     dephased, where v = 0.  At finite t both sines come from one
     u = tan(2 t Lambda_b), sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
     sin(4 t Lambda_b) = 2u/(1 + u^2), in the columns' own buffers: no other
-    (points x modes) array is made.  The last batch is cached, so its
-    contraction table and its magnetization share it.
+    (points x modes) array is made.
     """
-    _batch.cache_clear()  # free the previous batch before allocating this one
     n = configs[0].n_sites
     cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
     w, xw = np.empty((2, len(configs), cos.size))
@@ -309,21 +312,21 @@ def magnetization_z(config, t):
     """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2.
 
     That is half the weighted mode sum sum_p weight_p (rho22 - rho11); C[0]
-    weighs it by cos(0) = 1.
+    weighs it by cos(0) = 1 and is Gamma's <B_0 A_0>, read from the stack
+    held for these points (_contractions) with no columns of its own.
     """
     configs, times, single = _points(config, t)
-    runs, columns = _batch(configs, times)
-    half = 0.5 * _grid(configs[0].n_sites, configs[0].gamma)[3]
-    mz = np.empty(len(configs))
-    for _, rows, gap, terms in runs:
-        head, scale, row = terms[0]
-        column = columns[0][rows, None, :]
-        mz[rows] = head @ half + scale * gap[:, 0] * np.matmul(column, (half * row)[:, None])[:, 0, 0]
+    mz = 0.5 * _contractions(configs, times, 0)[:, 1, 0].real
     return float(mz[0]) if single else mz
 
 
-@lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings share
-def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
+@lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings and its M_z share
+def _gamma(configs: tuple, times: tuple) -> list:
+    """An empty holder that _contractions fills with the read-only Gamma stack of these points."""
+    return []
+
+
+def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     """contraction_table's stack for the points of _points, from the sums C, S and I.
 
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
@@ -332,19 +335,29 @@ def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     points sharing a, each sum over d = 0..d_max is head @ table.T plus the
     bilinear form column @ (table * row).T, taken as one (1 x modes) @
     (modes x offsets) product per point: the same BLAS call for every batch
-    size, so a point's sums do not depend on its batch.
+    size, so a point's sums do not depend on its batch.  The columns stream in
+    blocks of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
+    before the next is formed; the stack is held per points (_gamma), and a
+    later call on them for offsets up to its d_max slices it.
     """
     n = configs[0].n_sites
     if not 0 <= d_max < n:
         raise ValueError(f"offset {d_max} outside the ring of {n} sites")
-    runs, columns = _batch(configs, times)
+    held = _gamma(configs, times)
+    if held and held[0].shape[-1] >= 2 * d_max + 2:
+        return held[0][:, : 2 * d_max + 2, : 2 * d_max + 2]
+    size = max(1, CHUNK_ELEMENTS // _grid(n, configs[0].gamma)[1].size)
     sums = np.zeros((3, len(configs), d_max + 1))
-    for key, rows, gap, _ in runs:
-        for out, (head, scale, table), column in zip(sums, _tables(n, *key, d_max), columns):
-            if head is not None:
-                out[rows] = head
-            if column is not None:
-                out[rows] += scale * gap * np.matmul(column[rows, None, :], table)[:, 0]
+    for start in range(0, len(configs), size):
+        runs, columns = _batch(configs[start : start + size], times[start : start + size])
+        block = sums[:, start : start + size]
+        for key, rows, gap, _ in runs:
+            for i, (head, scale, table) in enumerate(_tables(n, *key, d_max)):
+                if head is not None:
+                    block[i, rows] = head
+                if columns[i] is not None:
+                    block[i, rows] += scale * gap * np.matmul(columns[i][rows, None, :], table)[:, 0]
+        del runs, columns  # this block's columns go before _batch forms the next
     c, s, im = sums[0], 2.0 * sums[1], -2.0 * sums[2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]
@@ -358,7 +371,8 @@ def _gamma(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]
     gamma[:, :, 0, :, 1] = sign * s[:, k] - c[:, k]  # <A_s B_s'>
     gamma[:, :, 1, :, 0] = sign * s[:, k] + c[:, k]  # <B_s A_s'>
-    return _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))[0]
+    held[:] = _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))
+    return held[0]
 
 
 @factor_scope()
@@ -370,7 +384,7 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
     stack.  The array is cached while the run lasts and is read-only.
     """
     configs, times, single = _points(config, t)
-    gamma = _gamma(configs, times, d_max)
+    gamma = _contractions(configs, times, d_max)
     return gamma[0] if single else gamma
 
 
@@ -381,7 +395,7 @@ def _table_lookups():
 
 
 contraction_table.cache_info = _table_lookups
-_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _batch, _trig_table, _gamma)
+_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _trig_table, _gamma)
 
 
 def pfaffian(m):

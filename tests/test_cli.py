@@ -20,6 +20,12 @@ QUENCH = ("--field-a", "1.001", "--field-b", "0.5", "--kt", "0.5")
 TINY = ("--n-sites", "8", "--t-steps", "3", "--t-end", "1.0")
 
 
+def _chunks_of(monkeypatch, points):
+    """Make _evaluate's chunks at d = 1 hold points points: Gamma is 4 x 4 there."""
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 4 * 4**2 * points)
+    return points
+
+
 def _run(tmp_path, *argv, fmt="csv"):
     out = tmp_path / f"out.{fmt}"
     code = main([*argv, "--format", fmt, "--out", str(out)])
@@ -391,10 +397,10 @@ def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):
     # trigger does not depend on any defect of the momentum grid.
     argv = ["surface", "--n-sites", "2000", "--kt", "0.5", "--grid-min", "0.5",
             "--grid-max", "1.5", "--grid-steps", "9", "--out", str(tmp_path / "out.csv")]
+    size = _chunks_of(monkeypatch, 40)
     assert main(argv) == 0
     grid = np.linspace(0.5, 1.5, 9)
     points = [(float(a), float(b)) for a in grid for b in grid]
-    size = cli.CHUNK_ELEMENTS // 1000
     first = size + 7
     bad = {points[first], points[2 * size]}
 
@@ -436,7 +442,7 @@ def test_injected_failure_in_oracle_compare_names_its_point(monkeypatch, capsys,
 def test_injected_failure_mid_chunk_names_its_first_point(monkeypatch, chunk):
     # Physical dephased points at kT = 0.5 with two finite-time points broken
     # by injection, the first mid-chunk and the second later in that chunk.
-    size = cli.CHUNK_ELEMENTS // 1000
+    size = _chunks_of(monkeypatch, 40)
     first_bad = chunk * size + size // 3
     fields = [(0.5 + 0.1 * (i % 9), 0.6 + 0.1 * (i % 7)) for i in range(3 * size)]
     times = [math.inf] * len(fields)
@@ -551,13 +557,18 @@ def test_batched_observables_equal_one_point_calls():
 
 
 def test_chunk_size_does_not_move_rows(monkeypatch):
+    # The mode-block budget (correlations: blocks of 1, 3 or all 30 points at
+    # 32 modes) and the Gamma-chunk budget (cli: chunks of 1, 6 or 30 points
+    # at d = 2) vary independently; neither moves a row.
     configs, times = _mixed_points(np.random.default_rng(21))
     rows = {}
-    for budget in (1, 100, 10**9):
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
-        rows[budget] = np.array(_evaluate(configs, 2, times))
-    assert np.max(np.abs(rows[1] - rows[10**9])) <= 1e-13
-    assert np.max(np.abs(rows[100] - rows[10**9])) <= 1e-13
+    for blocks in (1, 100, 10**9):
+        for chunks in (1, 1000, 10**9):
+            monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
+            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", chunks)
+            rows[blocks, chunks] = np.array(_evaluate(configs, 2, times))
+    whole = rows[10**9, 10**9]
+    assert max(np.max(np.abs(values - whole)) for values in rows.values()) <= 1e-13
 
 
 def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
@@ -600,10 +611,10 @@ def test_surface_forms_one_dispersion_row_per_field(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("chunk", [0, 2])
-def test_first_invalid_point_of_a_batch_is_named(chunk):
+def test_first_invalid_point_of_a_batch_is_named(monkeypatch, chunk):
     # (a, b) = (0, 0) is non-physical at N = 2000 and kT = 0 for every t.  The
     # first such point sits mid-chunk and a second one later in that chunk.
-    size = cli.CHUNK_ELEMENTS // 1000
+    size = _chunks_of(monkeypatch, 40)
     first_bad = chunk * size + size // 3
     fields = [(0.1 * (i % 9), 0.2 + 0.1 * (i % 7)) for i in range(3 * size)]
     times = [math.inf] * len(fields)
@@ -615,28 +626,56 @@ def test_first_invalid_point_of_a_batch_is_named(chunk):
     assert str(info.value).endswith("(at N = 2000, kT = 0.0, a = 0.0, b = 0.0, d = 1, t = 1.5)")
 
 
-# 5 points per chunk at N = 32 and 2 at N = 64.  The surface's 16 points take
-# 4 chunks and the time series' 10 (9 times and inf) take 2; the doubled-N
-# check reuses the run's rows at N and adds 3 chunks at N = 64 for its 5
-# samples.  oracle-compare takes each ring's 3 times as one chunk.
-@pytest.mark.parametrize("argv, chunks", [
-    (["surface", "--n-sites", "32", "--grid-steps", "4", "--grid-min", "0.5", "--grid-max", "1.5"],
-     4 + 3),
-    (["timeseries", "--n-sites", "32", "--t-steps", "9", *QUENCH], 2 + 3),
-    (["oracle-compare", *QUENCH, "--n-list", "6,8", "--t-end", "2.0", "--t-steps", "3"], 2),
-])
-def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, argv, chunks):
+# (argv, chunks at the default budget, chunks of 5 points).  At d = 1 the
+# default budget holds 625 points, so each run is one chunk at N plus one for
+# its 5 doubled-N samples at 2N; oracle-compare takes one per ring.  In
+# chunks of 5 the surface's 16 points take 4 and the time series' 10 (9 times
+# and inf) take 2, each plus 1 at 2N.
+RUNS = {
+    "surface": (["surface", "--n-sites", "32", "--grid-steps", "4", "--grid-min", "0.5",
+                 "--grid-max", "1.5"], 1 + 1, 4 + 1),
+    "timeseries": (["timeseries", "--n-sites", "32", "--t-steps", "9", *QUENCH], 1 + 1, 2 + 1),
+    "oracle-compare": (["oracle-compare", *QUENCH, "--n-list", "6,8", "--t-end", "2.0",
+                        "--t-steps", "3"], 2, 2),
+}
+
+
+@pytest.mark.parametrize("blocks", [1, 10**9], ids=["blocks-of-1", "one-block"])
+@pytest.mark.parametrize("chunk", [None, 5], ids=["default-chunks", "chunks-of-5"])
+@pytest.mark.parametrize("run", list(RUNS))
+def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, run, chunk, blocks):
     # Each chunk makes one call per correlator to the Pfaffian and to the
-    # contraction table; a fall-back to per-point evaluation multiplies them.
+    # contraction table, whatever the mode-block budget; a fall-back to
+    # per-point or per-block evaluation multiplies them.
+    argv, default_chunks, chunks_of_5 = RUNS[run]
     calls = Counter()
     for name in ("pfaffian", "contraction_table"):
         def counted(*args, _fn=getattr(correlations, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(correlations, name, counted)
-    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 80)
+    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
+    if chunk:
+        _chunks_of(monkeypatch, chunk)
     assert main([*argv, "--kt", "0.5", "--out", str(tmp_path / "o.csv")]) == 0
+    chunks = chunks_of_5 if chunk else default_chunks
     assert calls == {"pfaffian": 3 * chunks, "contraction_table": 3 * chunks}
+
+
+def test_one_column_pass_per_point_per_run(monkeypatch, tmp_path):
+    # A chunk's three strings and its M_z share one streamed pass: _batch sees
+    # each point of the run once at N (9 times, inf and the time average's
+    # samples) and each doubled-N sample once at 2N.
+    points = Counter()
+
+    def counted(configs, times, _fn=correlations._batch):
+        points[configs[0].n_sites] += len(configs)
+        return _fn(configs, times)
+
+    monkeypatch.setattr(correlations, "_batch", counted)
+    argv = ["timeseries", "--n-sites", "32", "--t-steps", "9", "--time-average", "1", *QUENCH]
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+    assert points == {32: 9 + 1 + cli.AVERAGE_SAMPLES, 64: cli.CONVERGENCE_SAMPLES}
 
 
 # ------------------------------------------------------------ physics knobs

@@ -220,22 +220,52 @@ def test_every_correlations_cache_is_a_factor_cache():
 
 
 def test_a_finite_time_chunk_allocates_only_its_columns():
-    # One timeseries chunk at N = 20000: 4 points x 10000 modes.  Beyond its
-    # three (points x modes) columns w, x_b w and v, _batch may allocate only
-    # rows over the modes (1/Lambda_b and the like), fewer than one column's
-    # worth; a (points x modes) temporary would cross the bound.
+    # One block of (b, t) columns at N = 20000: 4 points x 10000 modes.  Beyond
+    # its three (points x modes) columns w, x_b w and v, _batch may allocate
+    # only rows over the modes (1/Lambda_b and the like), fewer than one
+    # column's worth; a (points x modes) temporary would cross the bound.
+    # contraction_table streams 40 such points as 10 blocks and may add only
+    # its small (40 x ...) stacks: a block's columns that outlived the next
+    # _batch call would cross that bound by a whole block.
     config = ChainConfig(20000, 1.0, 0.5, 1.001, 0.5)
     modes = config.n_sites // 2
+    block = 3 * 4 * modes * 8 + 3 * modes * 8
+    stacks = 4 * 40 * 4 * 4 * 16  # Gamma's (40 x 4 x 4) complex stack and its temporaries
+    peaks = []
     with factor_scope():
-        correlations._batch((config,) * 4, (1.0, 2.0, 3.0, 4.0))  # the a and b factors
-        correlations._batch.cache_clear()
-        tracemalloc.start()
-        try:
-            correlations._batch((config,) * 4, (5.0, 6.0, 7.0, 8.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 3 * 4 * modes * 8 + 3 * modes * 8
+        contraction_table(config, np.arange(1.0, 41.0), 1)  # the a and b factors and the tables
+        for call in (lambda: correlations._batch((config,) * 4, (5.0, 6.0, 7.0, 8.0)),
+                     lambda: contraction_table(config, np.arange(41.0, 81.0), 1)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] <= block
+    assert peaks[1] <= block + stacks
+
+
+def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
+    # A 5-node rule at N = 16 with a budget of 10 points x modes streams its
+    # columns in blocks of 10 // 5 = 2 points, not 10 // (N/2) = 1, and the
+    # blocks sum to the unchunked stack.
+    x, w = np.polynomial.legendre.leggauss(5)
+    mode_rule(lambda n_sites: (np.pi * (x + 1.0) / 2.0, w / 2.0))
+    configs = [ChainConfig(16, 0.7, 0.3, a, b) for a, b in ((0.6, 1.4), (1.001, 0.5), (0.2, 0.2))]
+    configs, times = configs * 3, [0.0] * 3 + [1.3] * 3 + [math.inf] * 3
+    blocks = []
+
+    def counted(configs, times, _fn=correlations._batch):
+        blocks.append(len(configs))
+        return _fn(configs, times)
+
+    monkeypatch.setattr(correlations, "_batch", counted)
+    whole = contraction_table(configs, times, 3)
+    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 10)
+    streamed = contraction_table(configs, times, 3)
+    assert blocks == [9, 2, 2, 2, 2, 1]
+    assert np.max(np.abs(streamed - whole)) <= 1e-13
 
 
 def _gamma_from_mode_sums(config, t, d_max, nodes=None):
@@ -303,8 +333,7 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
              lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
              lambda t: correlator_yy([config, config], 1, [t, 0.5]),
              lambda t: correlator_zz(config, 3, t))
-    names = ("_grid", "_dispersion", "_terms", "_tables", "_batch", "_trig_table",
-             "contraction_table")
+    names = ("_grid", "_dispersion", "_terms", "_tables", "_trig_table", "contraction_table")
     for call in calls:
         for t in (1.3, math.inf):
             call(t)
@@ -318,8 +347,8 @@ def test_factor_caches_return_read_only_arrays():
     configs = (ChainConfig(n, gamma, kt, a, 1.4), ChainConfig(n, gamma, kt, 1.1, 0.3))
     times = (1.3, math.inf)
     args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_terms": (n, gamma, kt, a),
-            "_tables": (n, gamma, kt, a, d_max), "_batch": (configs, times),
-            "_trig_table": (n, gamma, d_max), "_gamma": (configs, times, d_max)}
+            "_tables": (n, gamma, kt, a, d_max), "_trig_table": (n, gamma, d_max),
+            "_gamma": (configs, times)}
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -329,6 +358,7 @@ def test_factor_caches_return_read_only_arrays():
                 yield from arrays(item)
 
     with factor_scope():
+        contraction_table(configs, times, d_max)  # fills the holder that _gamma returns
         for cache in correlations._FACTOR_CACHES:
             found = list(arrays(cache(*args[cache.__name__])))
             assert found and not [x.shape for x in found if x.flags.writeable], cache.__name__
