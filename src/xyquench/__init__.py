@@ -6,7 +6,7 @@ the evolved per-mode states (correlations.mode_blocks), two-point string
 correlators and the pairwise concurrence all come out in closed form.  Two
 oracles stay outside this namespace: xyquench.dynamics reaches each mode's
 state by diagonalizing or integrating its 4x4 Hamiltonian, and xyquench.ed
-diagonalizes small rings densely to validate the whole pipeline.
+diagonalizes small rings in (parity, momentum) blocks to check the pipeline.
 """
 
 from .lattice import ChainConfig, dispersion

@@ -39,6 +39,7 @@ import math
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import groupby
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +112,7 @@ def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, ...]:
 
 def _read_only(*arrays):
     for arr in arrays:
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return arrays
 
 
@@ -169,7 +169,7 @@ def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.
 def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
     """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
 
-    The tables are those of C, S and I: weighted cos, sin and sin (see _gamma).
+    The tables are those of C, S and I: weighted cos, sin and sin (see _contractions).
     Only the last a is kept, as for _terms.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
@@ -191,8 +191,8 @@ def _runs(keys):
 def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
     """(runs, columns): a batch in the factorised form of mode_blocks.
 
-    runs holds (gamma, kT, a), rows, b - a per point as a column and _terms,
-    per run of consecutive points that share (gamma, kT, a).  columns holds w,
+    runs holds (gamma, kT, a), rows and b - a per point as a column, per run
+    of consecutive points that share (gamma, kT, a).  columns holds w,
     x_b w and v as (points x modes) arrays; v is None when every point is
     dephased, where v = 0.  At finite t both sines come from one
     u = tan(2 t Lambda_b), sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
@@ -239,13 +239,14 @@ def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
             w[rows, frozen] = (2.0 * t) ** 2
             v[rows, frozen] = 4.0 * t
         np.multiply(w[rows], cos + key[1], out=xw[rows])
-    runs = [(key, rows, _read_only(np.array([c.field_after - key[2] for c in configs[rows]])[:, None])[0],
-             _terms(n, *key)) for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
-    return runs, _read_only(w, xw, v)
+    runs = [(key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None])
+            for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
+    return runs, (w, xw, v)
 
 
 _open_scopes = 0
-_ended_lookups = (0, 0)  # contraction_table's hits and misses in the runs that have ended
+_held = None  # the last chunk's (configs, times, Gamma), which its three strings and its M_z share
+_lookups = {"hits": 0, "misses": 0}  # of _held, over every run
 
 
 @contextmanager
@@ -254,19 +255,19 @@ def factor_scope():
 
     A run evaluates all its batches in one scope, so Lambda(h) is computed
     once per distinct (N, gamma, h) of the run, for a and b alike.  Scopes
-    nest; the caches (_FACTOR_CACHES: the factors, the trig tables and Gamma)
-    are emptied when the outermost one ends, so nothing a run caches outlives
-    it.  Each public function here runs in a scope, so a call made outside
-    any scope is a run of its own and leaves nothing cached.
+    nest; the caches (_FACTOR_CACHES: the factors and the trig tables) and the
+    held Gamma are emptied when the outermost one ends, so nothing a run
+    caches outlives it.  Each public function here runs in a scope, so a call
+    made outside any scope is a run of its own and leaves nothing cached.
     """
-    global _open_scopes, _ended_lookups
+    global _open_scopes, _held
     _open_scopes += 1
     try:
         yield
     finally:
         _open_scopes -= 1
         if not _open_scopes:
-            _ended_lookups = _table_lookups()[:2]
+            _held = None
             for cache in _FACTOR_CACHES:
                 cache.cache_clear()
 
@@ -291,19 +292,19 @@ def mode_blocks(config, t) -> ModeBlocks:
     Dephased, w = 1/(2 Lambda_b^2) and v = 0; modes with Lambda_b below
     SERIES_EPS take the series limits w = (2t)^2, v = 4t and never dephase
     (w = 0).  The contraction sums read the same factors as bilinear forms
-    (_gamma).  For a batch the arrays are (points x modes).  They are
-    read-only.
+    (_contractions).  For a batch the arrays are (points x modes).
     """
     configs, times, single = _points(config, t)
     runs, columns = _batch(configs, times)
     population, im, re = np.zeros((3, *columns[0].shape))
-    for _, rows, gap, terms in runs:
+    for key, rows, gap in runs:
+        terms = _terms(configs[0].n_sites, *key)
         for out, (head, scale, row), column in zip((population, im, re), terms, columns):
             if column is not None:
                 out[rows] = scale * gap * row * column[rows]
             if head is not None:
                 out[rows] += head
-    blocks = ModeBlocks(*_read_only(population, re + 1j * im))
+    blocks = ModeBlocks(population, re + 1j * im)
     return ModeBlocks(*(x[0] for x in blocks)) if single else blocks
 
 
@@ -320,12 +321,6 @@ def magnetization_z(config, t):
     return float(mz[0]) if single else mz
 
 
-@lru_cache(maxsize=1)  # the last chunk's Gamma, which its three strings and its M_z share
-def _gamma(configs: tuple, times: tuple) -> list:
-    """An empty holder that _contractions fills with the read-only Gamma stack of these points."""
-    return []
-
-
 def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     """contraction_table's stack for the points of _points, from the sums C, S and I.
 
@@ -337,21 +332,24 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     (modes x offsets) product per point: the same BLAS call for every batch
     size, so a point's sums do not depend on its batch.  The columns stream in
     blocks of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
-    before the next is formed; the stack is held per points (_gamma), and a
-    later call on them for offsets up to its d_max slices it.
+    before the next is formed.  The stack is held read-only (_held) until
+    another stack replaces it, and a later call on points equal to its own
+    for offsets up to its d_max slices it.
     """
+    global _held
     n = configs[0].n_sites
     if not 0 <= d_max < n:
         raise ValueError(f"offset {d_max} outside the ring of {n} sites")
-    held = _gamma(configs, times)
-    if held and held[0].shape[-1] >= 2 * d_max + 2:
-        return held[0][:, : 2 * d_max + 2, : 2 * d_max + 2]
+    hit = _held is not None and _held[:2] == (configs, times) and _held[2].shape[-1] >= 2 * d_max + 2
+    _lookups["hits" if hit else "misses"] += 1
+    if hit:
+        return _held[2][:, : 2 * d_max + 2, : 2 * d_max + 2]
     size = max(1, CHUNK_ELEMENTS // _grid(n, configs[0].gamma)[1].size)
     sums = np.zeros((3, len(configs), d_max + 1))
     for start in range(0, len(configs), size):
         runs, columns = _batch(configs[start : start + size], times[start : start + size])
         block = sums[:, start : start + size]
-        for key, rows, gap, _ in runs:
+        for key, rows, gap in runs:
             for i, (head, scale, table) in enumerate(_tables(n, *key, d_max)):
                 if head is not None:
                     block[i, rows] = head
@@ -371,8 +369,8 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     gamma[:, :, 0, :, 0] = gamma[:, :, 1, :, 1] = 1j * sign * im[:, k]
     gamma[:, :, 0, :, 1] = sign * s[:, k] - c[:, k]  # <A_s B_s'>
     gamma[:, :, 1, :, 0] = sign * s[:, k] + c[:, k]  # <B_s A_s'>
-    held[:] = _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))
-    return held[0]
+    _held = configs, times, _read_only(gamma.reshape(len(configs), 2 * d_max + 2, 2 * d_max + 2))[0]
+    return _held[2]
 
 
 @factor_scope()
@@ -381,21 +379,15 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
 
     Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
     the diagonal is zero.  A batch gives a (points, 2 d_max + 2, 2 d_max + 2)
-    stack.  The array is cached while the run lasts and is read-only.
+    stack.  The array is read-only and held for the chunk's later calls.
     """
     configs, times, single = _points(config, t)
     gamma = _contractions(configs, times, d_max)
     return gamma[0] if single else gamma
 
 
-def _table_lookups():
-    """_gamma.cache_info(), with the hits and misses that each run's cache_clear reset."""
-    info = _gamma.cache_info()
-    return info._replace(hits=info.hits + _ended_lookups[0], misses=info.misses + _ended_lookups[1])
-
-
-contraction_table.cache_info = _table_lookups
-_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _trig_table, _gamma)
+contraction_table.cache_info = lambda: SimpleNamespace(**_lookups, currsize=int(_held is not None))
+_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _trig_table)
 
 
 def pfaffian(m):

@@ -8,9 +8,10 @@ from xyquench import correlations
 
 @pytest.fixture(autouse=True)
 def no_cache_outlives_a_test():
-    """Every correlations cache is empty once a test ends, whatever order the tests run in."""
+    """Every correlations cache and the held Gamma are empty once a test ends, in any test order."""
     yield
     held = {cache.__name__: cache.cache_info().currsize for cache in correlations._FACTOR_CACHES}
+    held["held Gamma"] = correlations.contraction_table.cache_info().currsize
     assert not any(held.values()), f"cached after the test: {held}"
 
 

@@ -161,6 +161,7 @@ def test_missing_config_file_exits_one(tmp_path):
         ["timeseries", "--t-start", "5", "--t-end", "1"],
         ["timeseries", "--t-steps", "0"],
         ["surface", "--grid-steps", "1"],
+        ["equilibrium", "--grid-steps", "0"],
         ["surface", "--grid-min", "2", "--grid-max", "1"],
         ["timeseries", "--workers", "0"],
         ["timeseries", "--time-average", "-3"],

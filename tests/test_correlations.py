@@ -347,8 +347,7 @@ def test_factor_caches_return_read_only_arrays():
     configs = (ChainConfig(n, gamma, kt, a, 1.4), ChainConfig(n, gamma, kt, 1.1, 0.3))
     times = (1.3, math.inf)
     args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_terms": (n, gamma, kt, a),
-            "_tables": (n, gamma, kt, a, d_max), "_trig_table": (n, gamma, d_max),
-            "_gamma": (configs, times)}
+            "_tables": (n, gamma, kt, a, d_max), "_trig_table": (n, gamma, d_max)}
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -358,14 +357,19 @@ def test_factor_caches_return_read_only_arrays():
                 yield from arrays(item)
 
     with factor_scope():
-        contraction_table(configs, times, d_max)  # fills the holder that _gamma returns
+        gamma = contraction_table(configs, times, d_max)
         for cache in correlations._FACTOR_CACHES:
             found = list(arrays(cache(*args[cache.__name__])))
             assert found and not [x.shape for x in found if x.flags.writeable], cache.__name__
+        # The held Gamma, as the chunk's later calls read it: a hit, and a slice of it.
+        held = contraction_table(configs, times, d_max), contraction_table(configs, times, d_max - 1)
+        assert contraction_table.cache_info().currsize == 1
+        assert not [x.shape for x in (gamma, *held) if x.flags.writeable]
+        assert np.shares_memory(held[0], gamma) and np.shares_memory(held[1], gamma)
 
 
 def test_contraction_table_counts_its_lookups_across_runs():
-    # Each run empties the cache; its hits and misses still add up, as the
+    # Each run empties the held Gamma; its hits and misses still add up, as the
     # benchmark's hit ratio reads them after the run.
     config = ChainConfig(12, 0.8, 0.3, 1.5, 0.5)
     before = contraction_table.cache_info()
@@ -375,6 +379,27 @@ def test_contraction_table_counts_its_lookups_across_runs():
             contraction_table(config, 1.0, 2)
     after = contraction_table.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (2, 2, 0)
+    # A chunk's points match the held Gamma by value: equal but distinct
+    # configs with the same times in any sequence type hit it.  A changed time
+    # misses, and so does a larger offset on the same points, which the held
+    # Gamma does not cover; M_z after it reads the new one.
+    configs = [config, replace(config, field_after=1.7), replace(config, kt=0.0)]
+    times = [0.5, 2.0, math.inf]
+    changed = [0.5, 2.5, math.inf]
+    calls = [(lambda: contraction_table(configs, times, 2), False),
+             (lambda: contraction_table([replace(c) for c in configs], tuple(times), 2), True),
+             (lambda: contraction_table(tuple(map(replace, configs)), np.array(times), 1), True),
+             (lambda: correlator_zz(configs, 2, list(times)), True),
+             (lambda: contraction_table(configs, changed, 2), False),
+             (lambda: contraction_table(configs, changed, 3), False),
+             (lambda: magnetization_z(configs, changed), True)]
+    with factor_scope():
+        for i, (call, hit) in enumerate(calls):
+            before = contraction_table.cache_info()
+            call()
+            after = contraction_table.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (hit, not hit, 1), i
+    assert contraction_table.cache_info().currsize == 0
 
 
 def test_batches_take_matching_points_of_one_ring_size():

@@ -241,8 +241,10 @@ def test_reduce_pair_translation_invariance():
 def test_reduce_pair_index_validation():
     rho = _up_projector(4)
     for i, j in ((0, 0), (-1, 2), (0, 4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct sites"):
             ed.reduce_pair(rho, i, j)
+    with pytest.raises(ValueError, match="not a power of two"):
+        ed.reduce_pair(np.eye(6) / 6.0, 0, 1)
 
 
 def test_magnetization_of_polarized_state():
