@@ -10,7 +10,9 @@ per-mode states of mode_blocks, the package's one closed form for them
 (dynamics reaches the same states by diagonalization, as a test oracle).
 Every factor of that form depends on the field a alone or on (b, t) alone,
 so the sums are taken as bilinear forms of per-a rows and per-(b, t)
-columns.  contraction_table arranges the sums
+columns.  At finite t the factors of b alone go into the tables of each run
+of points sharing (a, b), and the columns carry only the phase 2 t Lambda_b.
+contraction_table arranges the sums
 into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
 and each spin-spin correlator is 1/4 times the Pfaffian of the rows and
 columns of Gamma that its operator string picks out (Wick's theorem for the
@@ -61,9 +63,10 @@ DEGENERACY_EPS = 1e-12
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
 # Points x modes in one block of (b, t) columns (_contractions): 4 times at
-# N = 20000, 40 points at N = 2000.  It bounds the block's columns w, x_b w
-# and v, 8 bytes per element each, formed with no other (points x modes)
-# array; at 60000 the peak RSS of a 61 x 61 surface at N = 2000 rose by 2%.
+# N = 20000, 40 points at N = 2000.  It bounds the block's two columns (_batch),
+# 8 bytes per element each, formed with no other (points x modes) array; at
+# 60000, with three columns then, the peak RSS of a 61 x 61 surface at
+# N = 2000 rose by 2%.
 CHUNK_ELEMENTS = 40000
 
 
@@ -167,16 +170,56 @@ def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.
 
 @lru_cache(maxsize=1)
 def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
-    """(head @ table.T, scale, (table * row).T) of each quantity with its trig table.
+    """(head @ table.T, scale, (table * row).T) of C and S with their trig tables, for dephased runs.
 
-    The tables are those of C, S and I: weighted cos, sin and sin (see _contractions).
-    Only the last a is kept, as for _terms.
+    The tables are weighted cos and sin (see _contractions); dephased, v = 0,
+    so I has no term.  Only the last a is kept, as for _terms.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
-    (head_c, scale_c, row_c), (head_s, scale_s, row_s), (_, scale_i, _) = _terms(n_sites, gamma, kt, a)
-    table_c, table_s = (cos * row_c).T, (sin * row_s).T  # Im rho12 and Re rho12 share a row
+    (head_c, scale_c, row_c), (head_s, scale_s, row_s), _ = _terms(n_sites, gamma, kt, a)
+    table_c, table_s = (cos * row_c).T, (sin * row_s).T
     head_c, head_s, table_c, table_s = _read_only(head_c @ cos.T, head_s @ sin.T, table_c, table_s)
-    return [(head_c, scale_c, table_c), (head_s, scale_s, table_s), (None, scale_i, table_s)]
+    return [(head_c, scale_c, table_c), (head_s, scale_s, table_s)]
+
+
+def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v: np.ndarray) -> None:
+    """w, xw and v times 1/Lambda_b^2, x_b/Lambda_b^2 and 2/Lambda_b per mode (their last axis), in place.
+
+    These are a finite-time run's factors of b alone: with them the columns
+    sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 of _batch give w, x_b w and v.
+    Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b and 1, since their
+    columns hold the series limits themselves.
+    """
+    lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
+    evolving = lam >= SERIES_EPS
+    for out in (w, w, xw, xw, v):
+        np.divide(out, lam, out=out, where=evolving)
+    np.multiply(v, 2.0, out=v, where=evolving)
+    xw *= cos + b
+
+
+@lru_cache(maxsize=1)
+def _folded_tables(n_sites: int, gamma: float, kt: float, a: float, b: float, d_max: int) -> tuple:
+    """(heads, table, half_table) of a finite-time run a -> b, with every factor of b folded in.
+
+    Per point, C and S side by side are heads + sin^2(2 t Lambda_b) @ table,
+    and I is sin(4 t Lambda_b)/2 @ half_table.  Each table is its trig table
+    times _terms' row, scale and b - a, folded by _fold in the buffers that
+    are kept.  Only the last run is kept: a time series meets its (a, b) in
+    one stretch.
+    """
+    cos, sin = _trig_table(n_sites, gamma, d_max)
+    terms = _terms(n_sites, gamma, kt, a)
+    # Two buffers, not one (3 x offsets x modes) array: at N = 40000 the one
+    # array raised the time series' peak RSS by 0.2 MB.
+    table, half = np.empty((2, *cos.shape)), np.empty(cos.shape)
+    outs = (table[0], table[1], half)
+    for out, trig, (_, scale, row) in zip(outs, (cos, sin, sin), terms):
+        np.multiply(trig, row, out=out)
+        out *= scale * (b - a)
+    _fold(n_sites, gamma, b, *outs)
+    heads = np.stack((terms[0][0] @ cos.T, terms[1][0] @ sin.T))
+    return _read_only(heads, table.reshape(-1, cos.shape[1]).T, half.T)
 
 
 def _runs(keys):
@@ -188,60 +231,63 @@ def _runs(keys):
         start = stop
 
 
-def _batch(configs: tuple, times: tuple) -> tuple[list, tuple]:
+def _batch(configs: tuple, times: tuple) -> tuple[list, np.ndarray]:
     """(runs, columns): a batch in the factorised form of mode_blocks.
 
-    runs holds (gamma, kT, a), rows and b - a per point as a column, per run
-    of consecutive points that share (gamma, kT, a).  columns holds w,
-    x_b w and v as (points x modes) arrays; v is None when every point is
-    dephased, where v = 0.  At finite t both sines come from one
-    u = tan(2 t Lambda_b), sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
-    sin(4 t Lambda_b) = 2u/(1 + u^2), in the columns' own buffers: no other
-    (points x modes) array is made.
+    runs holds (key, rows, gap) per run of consecutive points.  A finite-time
+    run shares key = (gamma, kT, a, b) and gap = b - a; a dephased run shares
+    key = (gamma, kT, a, None) and holds gap = b - a per point as a column.
+    columns is a (2 x points x modes) array.  Dephased, its two columns are
+    w = 1/(2 Lambda_b^2) and x_b w (v = 0).  At finite t they carry only the
+    phase, sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 =
+    u/(1 + u^2) from one u = tan(2 t Lambda_b), in the columns' own buffers,
+    so no other (points x modes) array is made; frozen modes hold the series
+    limits (2t)^2 and 4t.  The factors of b alone that turn them into w, x_b w
+    and v (_fold) are the run's, folded into its _folded_tables.
     """
     n = configs[0].n_sites
     cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
-    w, xw = np.empty((2, len(configs), cos.size))
-    v = None if all(map(math.isinf, times)) else np.zeros_like(w)
+    columns = np.empty((2, len(configs), cos.size))
     for key, rows in _runs([None if math.isinf(t) else (c.gamma, c.field_after)
                             for c, t in zip(configs, times)]):
         if key is None:  # dephased points, whatever their b: w = 1/(2 Lambda_b^2)
-            np.stack([_dispersion(n, c.gamma, c.field_after) for c in configs[rows]], out=w[rows])
-            _inverse(w[rows], out=w[rows])
-            w[rows] *= w[rows]
-            w[rows] *= 0.5
-            np.add.outer([c.field_after for c in configs[rows]], cos, out=xw[rows])
-            xw[rows] *= w[rows]
+            w, xw = columns[:, rows]
+            np.stack([_dispersion(n, c.gamma, c.field_after) for c in configs[rows]], out=w)
+            _inverse(w, out=w)
+            w *= w
+            w *= 0.5
+            np.add.outer([c.field_after for c in configs[rows]], cos, out=xw)
+            xw *= w
             continue
+        sq, half = columns[:, rows]
         lam = _dispersion(n, *key)
         lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
         late = [t for t in times[rows] if 2.0 * abs(t) * lam_max >= 2.0**33]
         if late:  # past 2^33 one ulp of the phase exceeds 1e-6 rad
             raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
                              "where one ulp exceeds 1e-6 rad")
-        inv = _inverse(lam, np.empty_like(lam))
         t = np.array(times[rows])[:, None]
-        # u in v, u^2 in w and 1 + u^2 in xw, which its own value overwrites
-        # below.  Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2
-        # would magnify that.
-        u, sq, den = v[rows], w[rows], xw[rows]
-        np.multiply(2.0 * t, lam, out=u)
-        np.tan(u, out=u)
-        np.multiply(u, u, out=sq)
-        np.add(sq, 1.0, out=den)
-        sq /= den
-        sq *= inv
-        sq *= inv
-        u /= den
-        u *= 2.0 * inv
+        # u in sq and 1 + u^2 in half; then half = u/(1 + u^2) and sq = u half.
+        # Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2 would
+        # magnify that.
+        np.multiply(2.0 * t, lam, out=sq)
+        np.tan(sq, out=sq)
+        np.multiply(sq, sq, out=half)
+        half += 1.0
+        np.divide(sq, half, out=half)
+        sq *= half
         frozen = lam < SERIES_EPS
         if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
-            w[rows, frozen] = (2.0 * t) ** 2
-            v[rows, frozen] = 4.0 * t
-        np.multiply(w[rows], cos + key[1], out=xw[rows])
-    runs = [(key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None])
-            for key, rows in _runs([(c.gamma, c.kt, c.field_before) for c in configs])]
-    return runs, (w, xw, v)
+            sq[:, frozen] = (2.0 * t) ** 2
+            half[:, frozen] = 4.0 * t
+    runs = []
+    for key, rows in _runs([(c.gamma, c.kt, c.field_before, None if math.isinf(t) else c.field_after)
+                            for c, t in zip(configs, times)]):
+        if key[3] is None:  # dephased: b - a per point
+            runs.append((key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None]))
+        else:
+            runs.append((key, rows, key[3] - key[2]))
+    return runs, columns
 
 
 _open_scopes = 0
@@ -287,21 +333,28 @@ def mode_blocks(config, t) -> ModeBlocks:
         Re rho12 = (1/4) (b - a) W delta v:
 
     each a head and a row that depend on a alone (_terms), and a column w,
-    x_b w or v that depends on (b, t) alone (_batch), with
+    x_b w or v that depends on (b, t) alone, with
     w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
-    Dephased, w = 1/(2 Lambda_b^2) and v = 0; modes with Lambda_b below
-    SERIES_EPS take the series limits w = (2t)^2, v = 4t and never dephase
-    (w = 0).  The contraction sums read the same factors as bilinear forms
-    (_contractions).  For a batch the arrays are (points x modes).
+    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed per point (_batch); modes
+    with Lambda_b below SERIES_EPS take the series limits w = (2t)^2, v = 4t
+    and never dephase (w = 0).  At finite t, _batch forms only the phase
+    columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2, and the factors of b
+    alone (_fold) turn them into w, x_b w and v.  The contraction sums read
+    the same factors as bilinear forms (_contractions).  For a batch the
+    arrays are (points x modes).
     """
     configs, times, single = _points(config, t)
+    n = configs[0].n_sites
     runs, columns = _batch(configs, times)
     population, im, re = np.zeros((3, *columns[0].shape))
     for key, rows, gap in runs:
-        terms = _terms(configs[0].n_sites, *key)
-        for out, (head, scale, row), column in zip((population, im, re), terms, columns):
+        w, xw, v = *columns[:, rows], None
+        if key[3] is not None:  # the run's factors of b alone turn the phase columns into w, x_b w and v
+            w, xw, v = w.copy(), w.copy(), xw.copy()
+            _fold(n, key[0], key[3], w, xw, v)
+        for out, (head, scale, row), column in zip((population, im, re), _terms(n, *key[:3]), (w, xw, v)):
             if column is not None:
-                out[rows] = scale * gap * row * column[rows]
+                out[rows] = scale * gap * row * column
             if head is not None:
                 out[rows] += head
     blocks = ModeBlocks(population, re + 1j * im)
@@ -327,10 +380,14 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
     are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
     S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
-    points sharing a, each sum over d = 0..d_max is head @ table.T plus the
-    bilinear form column @ (table * row).T, taken as one (1 x modes) @
-    (modes x offsets) product per point: the same BLAS call for every batch
-    size, so a point's sums do not depend on its batch.  The columns stream in
+    points (_batch), each sum over d = 0..d_max is a head plus a bilinear form
+    of a column and a table, taken as one (1 x modes) @ (modes x offsets)
+    product per point: the same BLAS call for every batch size, so a point's
+    sums do not depend on its batch.  Dephased points sharing a take their
+    per-point columns w and x_b w against the per-a tables (_tables).  Finite-
+    time points sharing (a, b) take two products against the run's folded
+    tables (_folded_tables): sin^2(2 t Lambda_b) gives C and S together, and
+    sin(4 t Lambda_b)/2 gives I.  The columns stream in
     blocks of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
     before the next is formed.  The stack is held read-only (_held) until
     another stack replaces it, and a later call on points equal to its own
@@ -345,18 +402,22 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     if hit:
         return _held[2][:, : 2 * d_max + 2, : 2 * d_max + 2]
     size = max(1, CHUNK_ELEMENTS // _grid(n, configs[0].gamma)[1].size)
-    sums = np.zeros((3, len(configs), d_max + 1))
+    sums = np.zeros((len(configs), 3, d_max + 1))
     for start in range(0, len(configs), size):
         runs, columns = _batch(configs[start : start + size], times[start : start + size])
-        block = sums[:, start : start + size]
+        block = sums[start : start + size]
         for key, rows, gap in runs:
-            for i, (head, scale, table) in enumerate(_tables(n, *key, d_max)):
-                if head is not None:
-                    block[i, rows] = head
-                if columns[i] is not None:
-                    block[i, rows] += scale * gap * np.matmul(columns[i][rows, None, :], table)[:, 0]
+            if key[3] is None:
+                for i, (head, scale, table) in enumerate(_tables(n, *key[:3], d_max)):
+                    block[rows, i] = head
+                    block[rows, i] += scale * gap * np.matmul(columns[i][rows, None, :], table)[:, 0]
+                continue
+            heads, table, half_table = _folded_tables(n, *key, d_max)
+            cs = np.matmul(columns[0][rows, None, :], table)[:, 0]
+            block[rows, :2] = heads + cs.reshape(-1, 2, d_max + 1)
+            block[rows, 2] = np.matmul(columns[1][rows, None, :], half_table)[:, 0]
         del runs, columns  # this block's columns go before _batch forms the next
-    c, s, im = sums[0], 2.0 * sums[1], -2.0 * sums[2]
+    c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]
     k, sign = np.abs(offset), np.sign(offset)
@@ -387,7 +448,7 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
 
 
 contraction_table.cache_info = lambda: SimpleNamespace(**_lookups, currsize=int(_held is not None))
-_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _trig_table)
+_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _folded_tables, _trig_table)
 
 
 def pfaffian(m):

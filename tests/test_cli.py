@@ -679,6 +679,33 @@ def test_one_column_pass_per_point_per_run(monkeypatch, tmp_path):
     assert points == {32: 9 + 1 + cli.AVERAGE_SAMPLES, 64: cli.CONVERGENCE_SAMPLES}
 
 
+@pytest.mark.parametrize("blocks", [1, None], ids=["blocks-of-1", "default-blocks"])
+def test_a_finite_time_run_folds_its_tables_once_per_ring_size(monkeypatch, tmp_path, blocks):
+    # A run's factors of b alone are folded into its tables once, however many
+    # blocks its points stream in (one block per point at a budget of 1); the
+    # inf row between the times and the window reads the per-a tables and
+    # leaves them in place.  A dephased surface folds none.
+    builds = Counter()
+    fn = correlations._folded_tables
+
+    def counted(n_sites, *key, _fn=fn.__wrapped__):
+        builds[n_sites] += 1
+        return _fn(n_sites, *key)
+
+    cached = functools.lru_cache(maxsize=fn.cache_parameters()["maxsize"])(counted)
+    monkeypatch.setattr(correlations, "_FACTOR_CACHES",
+                        tuple(cached if c is fn else c for c in correlations._FACTOR_CACHES))
+    monkeypatch.setattr(correlations, "_folded_tables", cached)
+    if blocks:
+        monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
+    argv = ["timeseries", "--n-sites", "32", "--t-steps", "9", "--time-average", "1", *QUENCH]
+    assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+    assert builds == {32: 1, 64: 1}
+    builds.clear()
+    assert main([*RUNS["surface"][0], "--kt", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert builds == {}
+
+
 # ------------------------------------------------------------ physics knobs
 
 

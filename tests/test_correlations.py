@@ -181,10 +181,10 @@ def test_contractions_are_sums_over_mode_states(mode_rule):
 
 
 def test_finite_time_columns_near_the_poles_of_tan():
-    # _batch forms w = sin^2(2 t L)/L^2 and v = sin(4 t L)/L from one
-    # u = tan(2 t L).  The times put 2 t L of mode 1 within an ulp of pi/2
-    # (|u| ~ 1e16, both signs) and of pi (u ~ 1e-16, both signs); b = 1 freezes
-    # the phi = pi mode (L = 0), which takes the series limits instead.
+    # _batch forms sin^2(2 t L) and sin(4 t L)/2 from one u = tan(2 t L).  The
+    # times put 2 t L of mode 1 within an ulp of pi/2 (|u| ~ 1e16, both signs)
+    # and of pi (u ~ 1e-16, both signs); b = 1 freezes the phi = pi mode
+    # (L = 0), which takes the series limits (2t)^2 and 4t instead.
     config = ChainConfig(8, 2.0, 0.3, 0.4, 1.0)
     phi, delta, _ = grid_arrays(config)
     lam = np.hypot(np.cos(phi) + config.field_after, 0.5 * delta)
@@ -197,13 +197,13 @@ def test_finite_time_columns_near_the_poles_of_tan():
     assert np.abs(u[:3]).min() > 1e15 and u[:3].min() < 0.0 < u[:3].max()
     assert np.abs(u[3:]).max() < 1e-15 and u[3:].min() < 0.0 < u[3:].max()
     with factor_scope():
-        _, (w, _, v) = correlations._batch((config,) * len(times), tuple(times))
+        _, (sq, half) = correlations._batch((config,) * len(times), tuple(times))
         blocks = mode_blocks(config, times)
     for i, t in enumerate(times):
         arg = 2.0 * t * lam[:-1]
-        assert np.max(np.abs(w[i, :-1] - np.sin(arg) ** 2 / lam[:-1] ** 2)) <= 1e-15
-        assert np.max(np.abs(v[i, :-1] - np.sin(2.0 * arg) / lam[:-1])) <= 1e-15
-        assert (w[i, -1], v[i, -1]) == ((2.0 * t) ** 2, 4.0 * t)
+        assert np.max(np.abs(sq[i, :-1] - np.sin(arg) ** 2)) <= 1e-15
+        assert np.max(np.abs(half[i, :-1] - np.sin(2.0 * arg) / 2.0)) <= 1e-15
+        assert (sq[i, -1], half[i, -1]) == ((2.0 * t) ** 2, 4.0 * t)
         rho = np.array([spectral_mode_state(*m, config.field_before, config.field_after,
                                             config.kt, t) for m in zip(phi, delta)])
         assert np.max(np.abs(blocks.population[i] - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
@@ -221,15 +221,16 @@ def test_every_correlations_cache_is_a_factor_cache():
 
 def test_a_finite_time_chunk_allocates_only_its_columns():
     # One block of (b, t) columns at N = 20000: 4 points x 10000 modes.  Beyond
-    # its three (points x modes) columns w, x_b w and v, _batch may allocate
-    # only rows over the modes (1/Lambda_b and the like), fewer than one
-    # column's worth; a (points x modes) temporary would cross the bound.
+    # its two (points x modes) columns sin^2(2 t L) and sin(4 t L)/2, _batch
+    # may allocate only rows over the modes (the frozen mask and the like),
+    # fewer than one column's worth; a (points x modes) temporary, or a third
+    # column, would cross the bound.
     # contraction_table streams 40 such points as 10 blocks and may add only
     # its small (40 x ...) stacks: a block's columns that outlived the next
     # _batch call would cross that bound by a whole block.
     config = ChainConfig(20000, 1.0, 0.5, 1.001, 0.5)
     modes = config.n_sites // 2
-    block = 3 * 4 * modes * 8 + 3 * modes * 8
+    block = 2 * 4 * modes * 8 + 3 * modes * 8
     stacks = 4 * 40 * 4 * 4 * 16  # Gamma's (40 x 4 x 4) complex stack and its temporaries
     peaks = []
     with factor_scope():
@@ -333,7 +334,7 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
              lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
              lambda t: correlator_yy([config, config], 1, [t, 0.5]),
              lambda t: correlator_zz(config, 3, t))
-    names = ("_grid", "_dispersion", "_terms", "_tables", "_trig_table", "contraction_table")
+    names = ("_grid", "_dispersion", "_terms", "_tables", "_folded_tables", "_trig_table", "contraction_table")
     for call in calls:
         for t in (1.3, math.inf):
             call(t)
@@ -346,8 +347,11 @@ def test_factor_caches_return_read_only_arrays():
     n, gamma, kt, a, d_max = 16, 0.7, 0.5, 0.6, 2
     configs = (ChainConfig(n, gamma, kt, a, 1.4), ChainConfig(n, gamma, kt, 1.1, 0.3))
     times = (1.3, math.inf)
+    # The finite-time point's run folds its b into _folded_tables; the
+    # dephased point's run reads _tables at its own a.
     args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_terms": (n, gamma, kt, a),
-            "_tables": (n, gamma, kt, a, d_max), "_trig_table": (n, gamma, d_max)}
+            "_tables": (n, gamma, kt, 1.1, d_max), "_folded_tables": (n, gamma, kt, a, 1.4, d_max),
+            "_trig_table": (n, gamma, d_max)}
 
     def arrays(value):
         if isinstance(value, np.ndarray):
