@@ -22,10 +22,11 @@ Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares; a
 sequence may be a list, a tuple or a numpy array.  A NaN time is invalid, and
-so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _batch).
-A batch is evaluated from (points x modes) arrays of its (b, t) columns,
-streamed in blocks for the contraction sums, and gives results with a
-leading points axis; one point is the batch of one and gives its entry.
+so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _columns).
+A batch is cut into runs of points (_runs), each evaluated from (points x
+modes) arrays of its (b, t) columns, streamed in pieces of the run for the
+contraction sums; results have a leading points axis, and one point is the
+batch of one and gives its entry.
 The batches evaluated inside one factor_scope share each field's mode
 factors, and a batch's strings and magnetization share its Gamma.
 
@@ -62,8 +63,8 @@ DEGENERACY_EPS = 1e-12
 # Correlators are real; anything above this imaginary residue means the
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
-# Points x modes in one block of (b, t) columns (_contractions): 4 times at
-# N = 20000, 40 points at N = 2000.  It bounds the block's two columns (_batch),
+# Points x modes in one piece of a run's (b, t) columns (_contractions): 4 times
+# at N = 20000, 40 points at N = 2000.  It bounds the piece's two columns (_columns),
 # 8 bytes per element each, formed with no other (points x modes) array; at
 # 60000, with three columns then, the peak RSS of a 61 x 61 surface at
 # N = 2000 rose by 2%.
@@ -100,7 +101,7 @@ class ModeBlocks(NamedTuple):
 
 
 # Each per-mode factor of the closed form (mode_blocks) depends on a alone
-# (_terms) or on (b, t) alone (_batch); only the scalar b - a couples them.
+# (_terms) or on (b, t) alone (_columns); only the scalar b - a couples them.
 # Both sides read Lambda(h), cached per field while a factor_scope lasts, so a
 # run over many (a, b) points computes one row of hypot per distinct field,
 # not two per point.
@@ -126,14 +127,6 @@ def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
     return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
 
 
-def _inverse(lam: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1/Lambda into out on modes at or above SERIES_EPS, 0 on the frozen ones."""
-    evolving = lam >= SERIES_EPS
-    np.divide(1.0, lam, out=out, where=evolving)
-    out[~evolving] = 0.0
-    return out
-
-
 @lru_cache(maxsize=1)
 def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     """(head, scale, row) of rho22 - rho11, Im rho12 and Re rho12 at field a.
@@ -144,17 +137,14 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     one stretch of consecutive batches.
     """
     lam_a, (_, cos, delta, _) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
-    if kt == 0.0:
-        # Exactly degenerate modes are uniform at kT = 0 and contribute
-        # nothing; nearby modes stay finite because |x_a|, |delta|/2 <= Lambda_a.
-        live = lam_a > DEGENERACY_EPS
-        weight = np.where(live, 1.0 / np.where(live, lam_a, 1.0), 0.0)
-    else:
-        arg = lam_a / kt
-        small = arg < 1e-6
-        weight = np.empty_like(lam_a)
-        np.divide(np.tanh(arg), lam_a, out=weight, where=~small)
-        weight[small] = (1.0 - arg[small] ** 2 / 3.0) / kt
+    # tanh = 1 where Lambda_a/kT overflows, at kT = 0 or a subnormal kT.  W = 0
+    # where Lambda_a = x_a = delta = 0, so every product W enters is 0, and at
+    # kT = 0 on exactly degenerate modes, which are uniform and contribute
+    # nothing; nearby modes stay finite because |x_a|, |delta|/2 <= Lambda_a.
+    live = lam_a > (DEGENERACY_EPS if kt == 0.0 else 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        tanh = np.tanh(np.divide(lam_a, kt, out=np.zeros_like(lam_a), where=live))
+    weight = np.divide(tanh, lam_a, out=np.zeros_like(lam_a), where=live)
     wd = weight * delta
     head, wdd, quarter, wd = _read_only(weight * (cos + a), wd * delta, 0.25 * wd, wd)
     return (head, 0.5, wdd), (quarter, -0.5, wd), (None, 0.25, wd)
@@ -186,7 +176,7 @@ def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v
     """w, xw and v times 1/Lambda_b^2, x_b/Lambda_b^2 and 2/Lambda_b per mode (their last axis), in place.
 
     These are a finite-time run's factors of b alone: with them the columns
-    sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 of _batch give w, x_b w and v.
+    sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 of _columns give w, x_b w and v.
     Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b and 1, since their
     columns hold the series limits themselves.
     """
@@ -222,72 +212,68 @@ def _folded_tables(n_sites: int, gamma: float, kt: float, a: float, b: float, d_
     return _read_only(heads, table.reshape(-1, cos.shape[1]).T, half.T)
 
 
-def _runs(keys):
-    """(key, rows) per run of consecutive equal keys; rows is a slice."""
+def _runs(configs: tuple, times: tuple):
+    """(key, rows) per run of consecutive points; rows is a slice.
+
+    A run's points share key = (gamma, kT, a, b), with b = None for dephased
+    points, whose b may differ from point to point.
+    """
     start = 0
-    for key, run in groupby(keys):
+    for key, run in groupby((c.gamma, c.kt, c.field_before, None if math.isinf(t) else c.field_after)
+                            for c, t in zip(configs, times)):
         stop = start + sum(1 for _ in run)
         yield key, slice(start, stop)
         start = stop
 
 
-def _batch(configs: tuple, times: tuple) -> tuple[list, np.ndarray]:
-    """(runs, columns): a batch in the factorised form of mode_blocks.
+def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
+    """(gap, columns): points of one run (_runs) in the factorised form of mode_blocks.
 
-    runs holds (key, rows, gap) per run of consecutive points.  A finite-time
-    run shares key = (gamma, kT, a, b) and gap = b - a; a dephased run shares
-    key = (gamma, kT, a, None) and holds gap = b - a per point as a column.
-    columns is a (2 x points x modes) array.  Dephased, its two columns are
-    w = 1/(2 Lambda_b^2) and x_b w (v = 0).  At finite t they carry only the
-    phase, sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 =
-    u/(1 + u^2) from one u = tan(2 t Lambda_b), in the columns' own buffers,
-    so no other (points x modes) array is made; frozen modes hold the series
-    limits (2t)^2 and 4t.  The factors of b alone that turn them into w, x_b w
-    and v (_fold) are the run's, folded into its _folded_tables.
+    columns is a (2 x points x modes) array.  Dephased, gap = b - a per point
+    as a column, and the two columns are w = 1/(2 Lambda_b^2) and x_b w
+    (v = 0).  At finite t, gap = b - a and the columns carry only the phase,
+    sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 = u/(1 + u^2)
+    from one u = tan(2 t Lambda_b), in the columns' own buffers, so no other
+    (points x modes) array is made; frozen modes hold the series limits
+    (2t)^2 and 4t.  The factors of b alone that turn them into w, x_b w and v
+    (_fold) are the run's, folded into its _folded_tables.
     """
-    n = configs[0].n_sites
-    cos = _grid(n, configs[0].gamma)[1]  # cos(phi_p) does not depend on gamma
+    gamma, _, a, b = key
+    cos = _grid(n, gamma)[1]
     columns = np.empty((2, len(configs), cos.size))
-    for key, rows in _runs([None if math.isinf(t) else (c.gamma, c.field_after)
-                            for c, t in zip(configs, times)]):
-        if key is None:  # dephased points, whatever their b: w = 1/(2 Lambda_b^2)
-            w, xw = columns[:, rows]
-            np.stack([_dispersion(n, c.gamma, c.field_after) for c in configs[rows]], out=w)
-            _inverse(w, out=w)
-            w *= w
-            w *= 0.5
-            np.add.outer([c.field_after for c in configs[rows]], cos, out=xw)
-            xw *= w
-            continue
-        sq, half = columns[:, rows]
-        lam = _dispersion(n, *key)
-        lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
-        late = [t for t in times[rows] if 2.0 * abs(t) * lam_max >= 2.0**33]
-        if late:  # past 2^33 one ulp of the phase exceeds 1e-6 rad
-            raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
-                             "where one ulp exceeds 1e-6 rad")
-        t = np.array(times[rows])[:, None]
-        # u in sq and 1 + u^2 in half; then half = u/(1 + u^2) and sq = u half.
-        # Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2 would
-        # magnify that.
-        np.multiply(2.0 * t, lam, out=sq)
-        np.tan(sq, out=sq)
-        np.multiply(sq, sq, out=half)
-        half += 1.0
-        np.divide(sq, half, out=half)
-        sq *= half
-        frozen = lam < SERIES_EPS
-        if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
-            sq[:, frozen] = (2.0 * t) ** 2
-            half[:, frozen] = 4.0 * t
-    runs = []
-    for key, rows in _runs([(c.gamma, c.kt, c.field_before, None if math.isinf(t) else c.field_after)
-                            for c, t in zip(configs, times)]):
-        if key[3] is None:  # dephased: b - a per point
-            runs.append((key, rows, np.array([c.field_after - key[2] for c in configs[rows]])[:, None]))
-        else:
-            runs.append((key, rows, key[3] - key[2]))
-    return runs, columns
+    if b is None:  # w = 1/(2 Lambda_b^2), 0 on frozen modes
+        w, xw = columns
+        np.stack([_dispersion(n, gamma, c.field_after) for c in configs], out=w)
+        evolving = w >= SERIES_EPS
+        np.divide(1.0, w, out=w, where=evolving)
+        w[~evolving] = 0.0
+        w *= w
+        w *= 0.5
+        np.add.outer([c.field_after for c in configs], cos, out=xw)
+        xw *= w
+        return np.array([c.field_after - a for c in configs])[:, None], columns
+    sq, half = columns
+    lam = _dispersion(n, gamma, b)
+    lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
+    late = [t for t in times if 2.0 * abs(t) * lam_max >= 2.0**33]
+    if late:  # past 2^33 one ulp of the phase exceeds 1e-6 rad
+        raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
+                         "where one ulp exceeds 1e-6 rad")
+    t = np.array(times)[:, None]
+    # u in sq and 1 + u^2 in half; then half = u/(1 + u^2) and sq = u half.
+    # Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2 would
+    # magnify that.
+    np.multiply(2.0 * t, lam, out=sq)
+    np.tan(sq, out=sq)
+    np.multiply(sq, sq, out=half)
+    half += 1.0
+    np.divide(sq, half, out=half)
+    sq *= half
+    frozen = lam < SERIES_EPS
+    if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
+        sq[:, frozen] = (2.0 * t) ** 2
+        half[:, frozen] = 4.0 * t
+    return b - a, columns
 
 
 _open_scopes = 0
@@ -335,22 +321,23 @@ def mode_blocks(config, t) -> ModeBlocks:
     each a head and a row that depend on a alone (_terms), and a column w,
     x_b w or v that depends on (b, t) alone, with
     w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
-    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed per point (_batch); modes
+    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed per point (_columns); modes
     with Lambda_b below SERIES_EPS take the series limits w = (2t)^2, v = 4t
-    and never dephase (w = 0).  At finite t, _batch forms only the phase
+    and never dephase (w = 0).  At finite t, _columns forms only the phase
     columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2, and the factors of b
     alone (_fold) turn them into w, x_b w and v.  The contraction sums read
     the same factors as bilinear forms (_contractions).  For a batch the
-    arrays are (points x modes).
+    arrays are (points x modes), formed by one _columns call per run of
+    points (_runs).
     """
     configs, times, single = _points(config, t)
     n = configs[0].n_sites
-    runs, columns = _batch(configs, times)
-    population, im, re = np.zeros((3, *columns[0].shape))
-    for key, rows, gap in runs:
-        w, xw, v = *columns[:, rows], None
+    population, im, re = np.zeros((3, len(configs), _grid(n, configs[0].gamma)[1].size))
+    for key, rows in _runs(configs, times):
+        gap, (w, xw) = _columns(n, key, configs[rows], times[rows])
+        v = None
         if key[3] is not None:  # the run's factors of b alone turn the phase columns into w, x_b w and v
-            w, xw, v = w.copy(), w.copy(), xw.copy()
+            xw, v = w.copy(), xw
             _fold(n, key[0], key[3], w, xw, v)
         for out, (head, scale, row), column in zip((population, im, re), _terms(n, *key[:3]), (w, xw, v)):
             if column is not None:
@@ -380,15 +367,15 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     <B_l A_{l+d}> = C[d] + S[d] and <A_l A_{l+d}> - delta_{d0} = i I[d]; S and I
     are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
     S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
-    points (_batch), each sum over d = 0..d_max is a head plus a bilinear form
+    points (_runs), each sum over d = 0..d_max is a head plus a bilinear form
     of a column and a table, taken as one (1 x modes) @ (modes x offsets)
     product per point: the same BLAS call for every batch size, so a point's
     sums do not depend on its batch.  Dephased points sharing a take their
     per-point columns w and x_b w against the per-a tables (_tables).  Finite-
     time points sharing (a, b) take two products against the run's folded
     tables (_folded_tables): sin^2(2 t Lambda_b) gives C and S together, and
-    sin(4 t Lambda_b)/2 gives I.  The columns stream in
-    blocks of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
+    sin(4 t Lambda_b)/2 gives I.  Each run streams its columns (_columns) in
+    pieces of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
     before the next is formed.  The stack is held read-only (_held) until
     another stack replaces it, and a later call on points equal to its own
     for offsets up to its d_max slices it.
@@ -403,20 +390,20 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
         return _held[2][:, : 2 * d_max + 2, : 2 * d_max + 2]
     size = max(1, CHUNK_ELEMENTS // _grid(n, configs[0].gamma)[1].size)
     sums = np.zeros((len(configs), 3, d_max + 1))
-    for start in range(0, len(configs), size):
-        runs, columns = _batch(configs[start : start + size], times[start : start + size])
-        block = sums[start : start + size]
-        for key, rows, gap in runs:
+    for key, run in _runs(configs, times):
+        for start in range(run.start, run.stop, size):
+            rows = slice(start, min(start + size, run.stop))
+            gap, columns = _columns(n, key, configs[rows], times[rows])
             if key[3] is None:
                 for i, (head, scale, table) in enumerate(_tables(n, *key[:3], d_max)):
-                    block[rows, i] = head
-                    block[rows, i] += scale * gap * np.matmul(columns[i][rows, None, :], table)[:, 0]
-                continue
-            heads, table, half_table = _folded_tables(n, *key, d_max)
-            cs = np.matmul(columns[0][rows, None, :], table)[:, 0]
-            block[rows, :2] = heads + cs.reshape(-1, 2, d_max + 1)
-            block[rows, 2] = np.matmul(columns[1][rows, None, :], half_table)[:, 0]
-        del runs, columns  # this block's columns go before _batch forms the next
+                    sums[rows, i] = head
+                    sums[rows, i] += scale * gap * np.matmul(columns[i][:, None, :], table)[:, 0]
+            else:
+                heads, table, half_table = _folded_tables(n, *key, d_max)
+                cs = np.matmul(columns[0][:, None, :], table)[:, 0]
+                sums[rows, :2] = heads + cs.reshape(-1, 2, d_max + 1)
+                sums[rows, 2] = np.matmul(columns[1][:, None, :], half_table)[:, 0]
+            del columns  # this piece's columns go before _columns forms the next
     c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]

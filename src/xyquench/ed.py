@@ -149,7 +149,8 @@ def _gibbs_weights(evals: np.ndarray, kt: float) -> np.ndarray:
     if not kt >= 0:  # NaN too; kT = inf is the maximally mixed state
         raise ValueError(f"kt must be non-negative, got {kt}")
     shifted = evals - evals.min()
-    weights = (shifted < GROUND_TOL).astype(float) if kt == 0.0 else np.exp(-shifted / kt)
+    with np.errstate(over="ignore"):  # at a subnormal kT, -(E - E_0)/kT overflows to -inf: weight 0
+        weights = (shifted < GROUND_TOL).astype(float) if kt == 0.0 else np.exp(-shifted / kt)
     return weights / weights.sum()
 
 

@@ -197,6 +197,18 @@ def test_non_finite_values_name_their_flag_and_kt_may_be_infinite(tmp_path, caps
     assert main(["timeseries", "--kt", "inf", "--n-sites", "20", "--t-steps", "3", "--out", str(out)]) == 0
 
 
+def test_a_subnormal_kt_reads_as_zero_temperature(tmp_path):
+    # Lambda_a/kT overflows at kT = 1e-320, and tanh of it reads 1: the rows
+    # equal the kT = 0 rows with no RuntimeWarning (an error here), also at
+    # a = 1, where the phi = pi mode has Lambda_a = 0.  The oracle's Gibbs
+    # weights take the same kT.
+    for fields in ((), ("--field-a", "0.5")):
+        runs = [_run(tmp_path, "timeseries", "--n-sites", "8", *fields, "--kt", kt) for kt in ("0", "1e-320")]
+        assert [code for code, _ in runs] == [0, 0]
+        assert _csv_rows(runs[0][1]) == _csv_rows(runs[1][1])
+    assert _run(tmp_path, "oracle-compare", "--kt", "1e-320", "--n-list", "6")[0] == 0
+
+
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_bad_n_list_says_what_the_flag_takes(route, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -664,16 +676,16 @@ def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, run, chunk
 
 
 def test_one_column_pass_per_point_per_run(monkeypatch, tmp_path):
-    # A chunk's three strings and its M_z share one streamed pass: _batch sees
-    # each point of the run once at N (9 times, inf and the time average's
+    # A chunk's three strings and its M_z share one streamed pass: _columns
+    # sees each point of the run once at N (9 times, inf and the time average's
     # samples) and each doubled-N sample once at 2N.
     points = Counter()
 
-    def counted(configs, times, _fn=correlations._batch):
-        points[configs[0].n_sites] += len(configs)
-        return _fn(configs, times)
+    def counted(n, key, configs, times, _fn=correlations._columns):
+        points[n] += len(configs)
+        return _fn(n, key, configs, times)
 
-    monkeypatch.setattr(correlations, "_batch", counted)
+    monkeypatch.setattr(correlations, "_columns", counted)
     argv = ["timeseries", "--n-sites", "32", "--t-steps", "9", "--time-average", "1", *QUENCH]
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
     assert points == {32: 9 + 1 + cli.AVERAGE_SAMPLES, 64: cli.CONVERGENCE_SAMPLES}

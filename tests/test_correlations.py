@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_contractions_are_sums_over_mode_states(mode_rule):
 
 
 def test_finite_time_columns_near_the_poles_of_tan():
-    # _batch forms sin^2(2 t L) and sin(4 t L)/2 from one u = tan(2 t L).  The
+    # _columns forms sin^2(2 t L) and sin(4 t L)/2 from one u = tan(2 t L).  The
     # times put 2 t L of mode 1 within an ulp of pi/2 (|u| ~ 1e16, both signs)
     # and of pi (u ~ 1e-16, both signs); b = 1 freezes the phi = pi mode
     # (L = 0), which takes the series limits (2t)^2 and 4t instead.
@@ -197,7 +198,8 @@ def test_finite_time_columns_near_the_poles_of_tan():
     assert np.abs(u[:3]).min() > 1e15 and u[:3].min() < 0.0 < u[:3].max()
     assert np.abs(u[3:]).max() < 1e-15 and u[3:].min() < 0.0 < u[3:].max()
     with factor_scope():
-        _, (sq, half) = correlations._batch((config,) * len(times), tuple(times))
+        key = (config.gamma, config.kt, config.field_before, config.field_after)
+        _, (sq, half) = correlations._columns(config.n_sites, key, (config,) * len(times), tuple(times))
         blocks = mode_blocks(config, times)
     for i, t in enumerate(times):
         arg = 2.0 * t * lam[:-1]
@@ -220,14 +222,14 @@ def test_every_correlations_cache_is_a_factor_cache():
 
 
 def test_a_finite_time_chunk_allocates_only_its_columns():
-    # One block of (b, t) columns at N = 20000: 4 points x 10000 modes.  Beyond
-    # its two (points x modes) columns sin^2(2 t L) and sin(4 t L)/2, _batch
+    # One piece of (b, t) columns at N = 20000: 4 points x 10000 modes.  Beyond
+    # its two (points x modes) columns sin^2(2 t L) and sin(4 t L)/2, _columns
     # may allocate only rows over the modes (the frozen mask and the like),
     # fewer than one column's worth; a (points x modes) temporary, or a third
     # column, would cross the bound.
-    # contraction_table streams 40 such points as 10 blocks and may add only
-    # its small (40 x ...) stacks: a block's columns that outlived the next
-    # _batch call would cross that bound by a whole block.
+    # contraction_table streams 40 such points as 10 pieces and may add only
+    # its small (40 x ...) stacks: a piece's columns that outlived the next
+    # _columns call would cross that bound by a whole piece.
     config = ChainConfig(20000, 1.0, 0.5, 1.001, 0.5)
     modes = config.n_sites // 2
     block = 2 * 4 * modes * 8 + 3 * modes * 8
@@ -235,7 +237,8 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
     peaks = []
     with factor_scope():
         contraction_table(config, np.arange(1.0, 41.0), 1)  # the a and b factors and the tables
-        for call in (lambda: correlations._batch((config,) * 4, (5.0, 6.0, 7.0, 8.0)),
+        key = (config.gamma, config.kt, config.field_before, config.field_after)
+        for call in (lambda: correlations._columns(config.n_sites, key, (config,) * 4, (5.0, 6.0, 7.0, 8.0)),
                      lambda: contraction_table(config, np.arange(41.0, 81.0), 1)):
             tracemalloc.start()
             try:
@@ -249,23 +252,24 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
 
 def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
     # A 5-node rule at N = 16 with a budget of 10 points x modes streams its
-    # columns in blocks of 10 // 5 = 2 points, not 10 // (N/2) = 1, and the
-    # blocks sum to the unchunked stack.
+    # columns in pieces of 10 // 5 = 2 points, not 10 // (N/2) = 1.  Streaming
+    # restarts where a run starts: finite-time runs of 5 and 4 points take
+    # pieces [2, 2, 1] and [2, 2], which sum to the unstreamed stack.
     x, w = np.polynomial.legendre.leggauss(5)
     mode_rule(lambda n_sites: (np.pi * (x + 1.0) / 2.0, w / 2.0))
-    configs = [ChainConfig(16, 0.7, 0.3, a, b) for a, b in ((0.6, 1.4), (1.001, 0.5), (0.2, 0.2))]
-    configs, times = configs * 3, [0.0] * 3 + [1.3] * 3 + [math.inf] * 3
-    blocks = []
+    configs = [ChainConfig(16, 0.7, 0.3, 0.6, 1.4)] * 5 + [ChainConfig(16, 0.7, 0.3, 1.001, 0.5)] * 4
+    times = [0.0, 0.4, 1.3, 2.0, 7.5, 0.0, 0.9, 1.3, 3.1]
+    pieces = []
 
-    def counted(configs, times, _fn=correlations._batch):
-        blocks.append(len(configs))
-        return _fn(configs, times)
+    def counted(n, key, configs, times, _fn=correlations._columns):
+        pieces.append(len(configs))
+        return _fn(n, key, configs, times)
 
-    monkeypatch.setattr(correlations, "_batch", counted)
+    monkeypatch.setattr(correlations, "_columns", counted)
     whole = contraction_table(configs, times, 3)
     monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 10)
     streamed = contraction_table(configs, times, 3)
-    assert blocks == [9, 2, 2, 2, 2, 1]
+    assert pieces == [5, 4, 2, 2, 1, 2, 2]
     assert np.max(np.abs(streamed - whole)) <= 1e-13
 
 
@@ -558,6 +562,65 @@ def test_contraction_table_matches_direct_functions():
             alone = contraction_table(c, t, d)
             for i, j in ((1, 2 * d), (0, 2 * d + 1), (0, 2 * d), (1, 2 * d + 1)):
                 assert gamma[2 * s + i, 2 * s + j] == pytest.approx(alone[i, j], abs=1e-15)
+
+
+# ----------------------------------------------------- exact identities
+#
+# Symmetries of the spin ring give equalities at any N (Lieb, Schultz &
+# Mattis, Ann. Phys. 16, 407 (1961)).  They are checked on the correlator
+# functions: the paper grid gives non-physical pair states at some points.
+
+IDENTITY_POINTS = list(product((1.0, 0.6), (0.0, 0.5), ((1.001, 0.5), (0.5, 1.5), (1.0, 0.3)),
+                               (0.0, 0.7, 25.0, math.inf)))
+
+
+def _spin_observables(n, d, gamma_sign=1.0, field_sign=1.0):
+    """(M_z, S^x, S^y, S^z) at distance d over IDENTITY_POINTS, as a (4 x points) array."""
+    configs = [ChainConfig(n, gamma_sign * gamma, kt, field_sign * a, field_sign * b)
+               for gamma, kt, (a, b), _ in IDENTITY_POINTS]
+    times = [t for *_, t in IDENTITY_POINTS]
+    with factor_scope():
+        return np.array([magnetization_z(configs, times), correlator_xx(configs, d, times),
+                         correlator_yy(configs, d, times), correlator_zz(configs, d, times)])
+
+
+def _ring_rule(n_sites):
+    """The even parity sector's nodes (2p - 1) pi/N, p = 1..N/2, with weight 2/N."""
+    return (2.0 * np.arange(1, n_sites // 2 + 1) - 1.0) * np.pi / n_sites, np.full(n_sites // 2, 2.0 / n_sites)
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["paper-grid", "ring-rule"])
+@pytest.mark.parametrize("n", [64, 2000])
+def test_anisotropy_sign_swaps_xx_and_yy(mode_rule, n, ring):
+    # A rotation by pi/2 about z maps gamma to -gamma and swaps S^x with S^y;
+    # M_z and S^z stay.  Per mode only delta changes sign, so it holds on
+    # either rule.
+    if ring:
+        mode_rule(_ring_rule)
+    for d in (1, 2, 3):
+        flipped = _spin_observables(n, d, gamma_sign=-1.0)[[0, 2, 1, 3]]
+        assert np.max(np.abs(flipped - _spin_observables(n, d))) <= 1e-13
+
+
+def _assert_spin_flip(n):
+    # prod sigma^x maps H(gamma, h) to H(gamma, -h): (-a, -b) gives
+    # (-M_z, S^x, S^y, S^z) of (a, b).
+    for d in (1, 2, 3):
+        flipped = _spin_observables(n, d, field_sign=-1.0) * np.array([[-1.0], [1.0], [1.0], [1.0]])
+        assert np.max(np.abs(flipped - _spin_observables(n, d))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 2000])
+def test_spin_flip_negates_only_mz_on_the_ring_rule(mode_rule, n):
+    # phi -> pi - phi maps the ring rule's nodes onto themselves.
+    mode_rule(_ring_rule)
+    _assert_spin_flip(n)
+
+
+@pytest.mark.xfail(strict=True, reason="phi -> pi - phi does not map the paper grid's nodes 2 pi p/N "
+                   "onto themselves: the identity fails by 3.7e-2 at N = 64")
+def test_spin_flip_negates_only_mz_on_the_paper_grid():
+    _assert_spin_flip(64)
 
 
 def test_quench_tracks_exact_diagonalization():

@@ -76,7 +76,8 @@ def test_thermal_rejects_negative_temperature():
 def test_thermal_weight_is_tanh_over_lambda_on_both_sides_of_the_series_switch():
     # The phi = pi mode has delta = 0, so its rho22 - rho11 is the weight
     # tanh(Lambda_a/kT)/Lambda_a times x_a = cos(pi) + a = Lambda_a = 0.5.
-    # The weight switches to its series 1 - x^2/3 below x = Lambda_a/kT = 1e-6.
+    # At small x = Lambda_a/kT it needs no series: tanh(x)/Lambda_a holds to
+    # 1e-15 on both sides of x = 1e-6.
     for x in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
         kt = 0.5 / x
         arg = 0.5 / kt
