@@ -7,8 +7,9 @@ is real in the z basis and commutes with the parity prod_i sz_i and with the
 one-site translation T, so it never leaves a block of one parity and one
 momentum k = 2 pi m / n, spanned by the orbit sums of T (Sandvik, AIP Conf.
 Proc. 1297, 135 (2010)); the blocks have about 2^(n-1) / n states.
-``quench_series`` builds H and the pair's X-state entries on each block from
-the orbit representatives, traces each block of the Gibbs state down to the
+``quench_series`` builds H and the pair's X-state entries from the orbit
+representatives on the blocks of k in [0, pi] only, since those of -k are
+their complex conjugates, traces each block of the Gibbs state down to the
 pair once, in H(b)'s eigenbasis, for all times, and skips a block with no
 Gibbs weight.  No fermion mapping enters.
 The mode pipeline agrees with this oracle only to O(1/N), so comparisons
@@ -203,16 +204,22 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     on each (parity, momentum) block from the representatives alone.  In a
     block, rho0 = F F^dagger with F = V_a sqrt(w) over the block's c nonzero
     Gibbs weights, R = V_b^dagger F and S = R R^dagger; with
-    p = exp(-i E_b t), rho_ij(t) = p^T [S o (V_b^dagger O V_b)^T] p*, so each
-    entry costs one (T x K) @ (K x K) complex product per block, K about
+    p = exp(-i E_b t), rho_ij(t) = p^T X p* with X = S o (V_b^dagger O V_b)^T.
+    H, O and T are real, so the block of -k (m -> n - m) has the
+    representatives of the block of k, conjugate entries, the same spectrum
+    and X*: only the blocks with 2m <= n are built and diagonalized (12 of
+    20 at n = 10), and one with a mirror adds X + X* = 2 Re X.  Each entry
+    costs one (T x K) @ (K x K) product per solved block, K about
     2^(n-1) / n.  No 2^n-sized array is formed: the memory peak is the H(a)
-    eigenvectors of all blocks, 16 sum K^2 bytes (0.8 MiB at n = 10), plus a
-    few arrays of one block.  Times must be finite: unlike the mode
-    pipeline, ED has no dephased t = inf.
+    eigenvectors of the solved blocks, 16 sum K^2 bytes (0.48 MiB at
+    n = 10), plus a few arrays of one block.  Times must be finite: unlike
+    the mode pipeline, ED has no dephased t = inf.
 
-    The Gibbs weights come from all blocks' spectra together.  A block with
-    no Gibbs weight (at kT = 0, a block without ground states) is skipped,
-    H(b) included.  rho_pair sums the blocks; M_z is <S^z> of site 0.
+    The Gibbs weights come from the spectra of all 2n blocks together, each
+    solved spectrum counted once per block it stands for.  A block with no
+    Gibbs weight (at kT = 0, a block without ground states) is skipped with
+    its mirror, H(b) included.  rho_pair sums the blocks, and M_z (<S^z> of
+    site 0) and the correlators are read off its entries.
     """
     _check_sites(n)
     if d % n == 0:
@@ -220,28 +227,36 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError(f"ED needs finite times, got t = {times[~np.isfinite(times)][0]}")
-    blocks = _blocks(n)
-    before = [np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, a)])[0]) for _, m, reps in blocks]
-    # One ground energy, one kT = 0 rule and one Z for all blocks together.
-    weights = _gibbs_weights(np.concatenate([evals for evals, _ in before]), kt)
-    weights = np.split(weights, np.cumsum([len(reps) for _, _, reps in blocks])[:-1])
+    # The blocks with 2m <= n, each with the number of blocks it stands for: itself and its mirror n - m.
+    blocks = [(m, reps, 1 if 2 * m % n == 0 else 2) for _, m, reps in _blocks(n) if 2 * m <= n]
+    before = [np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, a)])[0]) for m, reps, _ in blocks]
+    # One ground energy, one kT = 0 rule and one Z for all 2n blocks together.
+    spectra = [np.tile(evals, mult) for (evals, _), (_, _, mult) in zip(before, blocks)]
+    weights = np.split(_gibbs_weights(np.concatenate(spectra), kt), np.cumsum([len(e) for e in spectra])[:-1])
     # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
     rows, cols = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]).T
     entries = np.zeros((len(rows), 4, 4))
     entries[np.arange(len(rows)), cols, rows] = 1.0 / n  # |j><i| / n
     rho = np.zeros((len(times), 4, 4), dtype=complex)
-    for (_, m, reps), (_, vecs_a), w in zip(blocks, before, weights):
-        if not w.any():  # adds nothing to rho; its H(b) eigensolve is skipped
+    for (m, reps, mult), (_, vecs_a), w in zip(blocks, before, weights):
+        w = w[:len(reps)]  # the mirror block's weights are the same
+        if not w.any():  # adds nothing to rho, nor does its mirror; its H(b) eigensolve is skipped
             continue
         evals, vecs = np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, b)])[0])
         r = vecs.conj().T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^dagger F
         s = r @ r.conj().T
-        # X[e] = S o (V_b^dagger O_e V_b)^T for the six entries e.
+        # X[e] = S o (V_b^dagger O_e V_b)^T for the six entries e; the mirror block adds X*.
         x = s * (vecs.conj().T @ _block_operator(n, m, reps, d, entries) @ vecs).transpose(0, 2, 1)
+        if mult == 2:
+            x = 2.0 * x.real
         phases = np.exp(-1j * np.outer(times, evals))
         rho[:, rows, cols] += np.einsum("etk,tk->te", phases @ x, phases.conj())
     # rho is Hermitian: a real diagonal, and lower corners conjugate to the upper ones.
     rho.imag[:, rows[:4], rows[:4]] = 0.0
     rho[:, cols[4:], rows[4:]] = rho[:, rows[4:], cols[4:]].conj()
-    # Each rho is the state of a two-site ring, so its correlators need no second reduction.
-    return [(float(r.real.diagonal() @ [.5, .5, -.5, -.5]), *pair_correlators(r, 0, 1), r) for r in rho]
+    # M_z and the correlators, read off the X state's entries for all times at once:
+    # S^x = Re(rho14 + rho23)/2, S^y = Re(rho23 - rho14)/2, S^z = (rho11 - rho22 - rho33 + rho44)/4.
+    diagonal, corner, middle = rho.real.diagonal(axis1=1, axis2=2), rho.real[:, 0, 3], rho.real[:, 1, 2]
+    observables = np.column_stack([diagonal @ [.5, .5, -.5, -.5], (corner + middle) / 2, (middle - corner) / 2,
+                                   diagonal @ [.25, -.25, -.25, .25]])
+    return [(*row, r) for row, r in zip(observables.tolist(), rho)]

@@ -131,6 +131,25 @@ def test_momentum_blocks_are_the_blocks_of_the_full_hamiltonian():
         assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(2**n))) < 1e-12
 
 
+def test_mirror_block_is_the_conjugate_block():
+    # H, the pair operators and T are real in the z basis, so the block of -k
+    # (m -> n - m) has the representatives of the block of k and conjugate
+    # entries; quench_series solves only the blocks with 2m <= n and adds
+    # each mirror's part as the conjugate.  A block that is its own mirror
+    # (m = 0, and m = n/2 for even n) is real.
+    op = np.random.default_rng(1).standard_normal((4, 4))
+    for n in range(4, 10):
+        blocks = {(p, m): reps for p, m, reps in ed._blocks(n)}
+        terms = [(1, ed._bond(gamma, h)) for gamma, h in FIELDS] + [(d, op) for d in (1, 2, n - 1)]
+        for (p, m), reps in blocks.items():
+            mirror = (n - m) % n
+            assert np.array_equal(blocks[p, mirror], reps)
+            for d, term in terms:
+                block = ed._block_operator(n, m, reps, d, [term])[0]
+                want = block if mirror == m else ed._block_operator(n, mirror, reps, d, [term])[0]
+                assert np.max(np.abs(block - want.conj())) < 1e-14, (n, p, m, d)
+
+
 def _sector_lowest(n, gamma, h):
     """Lowest level of the even and of the odd parity sector, each the minimum over its momentum blocks."""
     lowest = [math.inf, math.inf]
@@ -295,14 +314,15 @@ def test_quench_series_matches_manual_composition():
 def test_two_sector_ground_solves_h_b_only_in_its_blocks(monkeypatch):
     # At gamma = 1, a = 0 the kT = 0 ground pair is the even and the odd
     # combination of the two x-polarized states, both at k = 0: beside the
-    # 2n H(a) eigensolves, only those two blocks solve H(b).
+    # H(a) eigensolves of the blocks with 2m <= n, whose mirrors m -> n - m
+    # are never solved, only those two blocks solve H(b).
     sizes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda matrix: sizes.append(len(matrix)) or eigh(matrix))
     rows = ed.quench_series(10, 1.0, 0.0, 0.0, 0.5, np.linspace(0.0, 5.0, 6))
     blocks = ed._blocks(10)
     assert [(p, m) for p, m, _ in blocks[::10]] == [(0, 0), (1, 0)]
-    assert sizes == [len(reps) for _, _, reps in blocks] + [len(blocks[0][2]), len(blocks[10][2])]
+    assert sizes == [len(reps) for _, m, reps in blocks if 2 * m <= 10] + [len(blocks[0][2]), len(blocks[10][2])]
     for *_, pair in rows:
         assert np.trace(pair).real == pytest.approx(1.0, abs=1e-12)
 
@@ -328,13 +348,15 @@ def test_quench_series_rejects_non_finite_times(t):
 
 def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
     # At kT = 0.5 each block's Gibbs factor F has all its columns, at kT = 0
-    # only the ground block's one.  The H(a) eigenvectors of all blocks are
-    # kept through the loop over blocks, so the peak counts their bytes,
-    # 16 sum K^2 (0.80 MiB at n = 10, blocks of K = 48 to 56 states): about
-    # 2.12 at kT = 0 and 2.42 at kT = 0.5, the rest being one block's H(b)
-    # eigenvectors and its six pair operators on their way to the X arrays.  One 2^n x 2^n float64
-    # array (8 MiB), or one K x K array of a parity block (2 MiB), would
-    # exceed both bounds.
+    # only the ground block's one.  The H(a) eigenvectors of the solved
+    # blocks, the 12 of 20 with 2m <= n, are kept through the loop over
+    # blocks: 0.48 MiB at n = 10, or 0.60 of the unit below, 16 sum K^2 over
+    # all 20 blocks (0.80 MiB, blocks of K = 48 to 56 states).  The peaks are
+    # about 1.73 units at kT = 0 and 2.00 at kT = 0.5, the rest being one
+    # block's H(b) eigenvectors and its six pair operators on their way to
+    # the X arrays.  One 2^n x 2^n float64 array (8 MiB), or one K x K array
+    # of a parity block (2 MiB), would exceed both bounds; so would holding
+    # the eigenvectors of the 8 mirror blocks too.
     unit = 16 * sum(len(reps) ** 2 for _, _, reps in ed._blocks(10))  # also builds the cached tables
     peaks = []
     for kt in (0.0, 0.5):
@@ -344,7 +366,7 @@ def test_quench_series_memory_does_not_grow_with_the_gibbs_rank():
             peaks.append(tracemalloc.get_traced_memory()[1] / unit)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 2.2 and peaks[1] <= 2.5, [f"{peak:.2f} x all blocks' eigenvectors" for peak in peaks]
+    assert peaks[0] <= 1.8 and peaks[1] <= 2.1, [f"{peak:.2f} x all blocks' eigenvectors" for peak in peaks]
 
 
 @pytest.mark.parametrize("t", [0.0, pytest.param(0.7, marks=pytest.mark.xfail(
