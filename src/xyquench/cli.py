@@ -30,7 +30,7 @@ import numpy as np
 
 from .correlations import CHUNK_ELEMENTS, correlator_xx, correlator_yy, correlator_zz, factor_scope, magnetization_z
 from .ed import quench_series
-from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state
+from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state, x_concurrences
 from .errors import NumericalError, at_point
 from .lattice import ChainConfig
 
@@ -126,10 +126,13 @@ def _evaluate(configs: list, d: int, times: list) -> list:
     Gamma, the three strings and M_z run once per chunk of
     CHUNK_ELEMENTS // (4 (2d + 2)^2) points (625 at d = 1), sized by Gamma's
     complex entries; correlations streams the (points x modes) columns in
-    blocks of its own.  One factor_scope computes each field's mode factors
-    once per run, and none outlive the call.  The two-site state, concurrence
-    and EoF run point by point in order, so the first non-physical point is
-    the one reported, with its location.
+    pieces of its own.  One factor_scope computes each field's mode factors
+    once per run, and none outlive the call.  The two-site state and its
+    concurrence are taken over the chunk's arrays (x_concurrences); the
+    points those leave (a clamp, a failed gate, a non-finite value) go
+    through two_site_state and concurrence_x in point order, so each clamp
+    warns as it would point by point and the first non-physical point is
+    the one reported, with its location.  EoF runs per point.
     """
     size = max(1, CHUNK_ELEMENTS // (4 * (2 * d + 2) ** 2))
     rows = []
@@ -140,12 +143,15 @@ def _evaluate(configs: list, d: int, times: list) -> list:
             sy = correlator_yy(chunk, d, at)
             sz = correlator_zz(chunk, d, at)
             mz = magnetization_z(chunk, at)
-            for config, t, *values in zip(chunk, at, mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()):
+            c, left = x_concurrences(mz, sx, sy, sz)
+            values = mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()
+            for j in left.tolist():
                 try:
-                    c = concurrence_x(two_site_state(*values))
+                    c[j] = concurrence_x(two_site_state(*(column[j] for column in values)))
                 except NumericalError as exc:
-                    raise at_point(exc, config, d, t) from exc
-                rows.append((*values, c, entanglement_of_formation(c)))
+                    raise at_point(exc, chunk[j], d, at[j]) from exc
+            c = c.tolist()
+            rows += zip(*values, c, [entanglement_of_formation(x) if x else 0.0 for x in c])
     return rows
 
 

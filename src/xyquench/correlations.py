@@ -10,7 +10,9 @@ per-mode states of mode_blocks, the package's one closed form for them
 (dynamics reaches the same states by diagonalization, as a test oracle).
 Every factor of that form depends on the field a alone or on (b, t) alone,
 so the sums are taken as bilinear forms of per-a rows and per-(b, t)
-columns.  At finite t the factors of b alone go into the tables of each run
+columns.  Dephased, the columns depend on b alone and are built once per
+distinct b (_dephased), so a surface forms one pair of rows per field, not
+per point.  At finite t the factors of b alone go into the tables of each run
 of points sharing (a, b), and the columns carry only the phase 2 t Lambda_b.
 contraction_table arranges the sums
 into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
@@ -212,6 +214,26 @@ def _folded_tables(n_sites: int, gamma: float, kt: float, a: float, b: float, d_
     return _read_only(heads, table.reshape(-1, cos.shape[1]).T, half.T)
 
 
+@lru_cache(maxsize=None)
+def _dephased(n_sites: int, gamma: float, b: float) -> np.ndarray:
+    """(w, x_b w) of field b at t = inf, a (2 x modes) array; w = 1/(2 Lambda_b^2), 0 on frozen modes.
+
+    A surface meets each b once per a, so the rows are formed once per
+    distinct b and copied into each dephased piece by _columns.
+    """
+    lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
+    rows = np.empty((2, lam.size))
+    w, xw = rows
+    evolving = lam >= SERIES_EPS
+    np.divide(1.0, lam, out=w, where=evolving)
+    w[~evolving] = 0.0
+    w *= w
+    w *= 0.5
+    np.add(b, cos, out=xw)
+    xw *= w
+    return _read_only(rows)[0]
+
+
 def _runs(configs: tuple, times: tuple):
     """(key, rows) per run of consecutive points; rows is a slice.
 
@@ -231,7 +253,9 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
 
     columns is a (2 x points x modes) array.  Dephased, gap = b - a per point
     as a column, and the two columns are w = 1/(2 Lambda_b^2) and x_b w
-    (v = 0).  At finite t, gap = b - a and the columns carry only the phase,
+    (v = 0): each point's rows of _dephased, built once per distinct b in
+    the scope and copied in by one stack.  At finite t, gap = b - a and the
+    columns carry only the phase,
     sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 = u/(1 + u^2)
     from one u = tan(2 t Lambda_b), in the columns' own buffers, so no other
     (points x modes) array is made; frozen modes hold the series limits
@@ -239,18 +263,9 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     (_fold) are the run's, folded into its _folded_tables.
     """
     gamma, _, a, b = key
-    cos = _grid(n, gamma)[1]
-    columns = np.empty((2, len(configs), cos.size))
-    if b is None:  # w = 1/(2 Lambda_b^2), 0 on frozen modes
-        w, xw = columns
-        np.stack([_dispersion(n, gamma, c.field_after) for c in configs], out=w)
-        evolving = w >= SERIES_EPS
-        np.divide(1.0, w, out=w, where=evolving)
-        w[~evolving] = 0.0
-        w *= w
-        w *= 0.5
-        np.add.outer([c.field_after for c in configs], cos, out=xw)
-        xw *= w
+    columns = np.empty((2, len(configs), _grid(n, gamma)[1].size))
+    if b is None:
+        np.stack([_dephased(n, gamma, c.field_after) for c in configs], axis=1, out=columns)
         return np.array([c.field_after - a for c in configs])[:, None], columns
     sq, half = columns
     lam = _dispersion(n, gamma, b)
@@ -321,7 +336,7 @@ def mode_blocks(config, t) -> ModeBlocks:
     each a head and a row that depend on a alone (_terms), and a column w,
     x_b w or v that depends on (b, t) alone, with
     w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
-    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed per point (_columns); modes
+    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed once per b (_dephased); modes
     with Lambda_b below SERIES_EPS take the series limits w = (2t)^2, v = 4t
     and never dephase (w = 0).  At finite t, _columns forms only the phase
     columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2, and the factors of b
@@ -435,7 +450,7 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
 
 
 contraction_table.cache_info = lambda: SimpleNamespace(**_lookups, currsize=int(_held is not None))
-_FACTOR_CACHES = (_grid, _dispersion, _terms, _tables, _folded_tables, _trig_table)
+_FACTOR_CACHES = (_grid, _dispersion, _dephased, _terms, _tables, _folded_tables, _trig_table)
 
 
 def pfaffian(m):

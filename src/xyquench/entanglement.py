@@ -15,7 +15,9 @@ dephased t -> infinity state.  After a quench, at finite t, rho14 also has an
 imaginary part, carried by <S^x S^y> + <S^y S^x>, which this assembly drops
 (Im rho23 stays 0).  Concurrence comes either from the X-state closed form or
 from the generic spectrum of rho * (sy x sy) rho^* (sy x sy); both paths are
-kept so one can check the other.
+kept so one can check the other.  x_concurrences takes the assembly and the
+closed form over arrays of points, and leaves every point that would clamp
+or fail to the scalar functions.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .errors import InvalidStateError
 # positivity violation and raises.
 CLAMP_TOL = 1e-10
 X_POSITIVITY_TOL = 1e-8
+# A concurrence may exceed 1 by this much, rounding; the positivity gates'
+# slack lets a state past it through, and concurrence_x rejects it.
+C_TOL = 1e-12
 
 clamp_warnings = 0
 
@@ -112,10 +117,37 @@ def concurrence_x(state: TwoSiteState) -> float:
     """Wootters concurrence of an X state in closed form (Yu & Eberly, QIC 7, 459 (2007)).
 
     C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)).
+    A C above 1 + C_TOL raises InvalidStateError: the state passed
+    two_site_state's gates within their slack but is not physical.
     """
     root_outer = math.sqrt(max(state.rho11 * state.rho44, 0.0))
     root_inner = math.sqrt(max(state.rho22 * state.rho33, 0.0))
-    return 2.0 * max(0.0, abs(state.rho14) - root_inner, abs(state.rho23) - root_outer)
+    c = 2.0 * max(0.0, abs(state.rho14) - root_inner, abs(state.rho23) - root_outer)
+    if c > 1.0 + C_TOL:
+        raise InvalidStateError(f"concurrence {c!r} exceeds 1 beyond {C_TOL}")
+    return c
+
+
+def x_concurrences(mz: np.ndarray, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple:
+    """(C, left): concurrence_x(two_site_state(...)) over arrays of points, and the points it leaves.
+
+    left holds, in order, the index of each point that two_site_state would
+    clamp or reject or whose C concurrence_x would reject; their C is the
+    caller's to take through those functions.  Every other point gets their
+    C bit for bit, from the same expressions.  NaN fails every comparison,
+    and an infinite input makes the trace or a gate non-finite.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho11, rho22, rho44 = mz + sz + 0.25, -sz + 0.25, -mz + sz + 0.25
+        rho14, rho23 = np.abs(sx - sy), np.abs(sx + sy)
+        outer = np.sqrt(np.maximum(rho11 * rho44, 0.0))
+        inner = np.sqrt(np.maximum(rho22 * rho22, 0.0))
+        c = 2.0 * np.maximum(np.maximum(0.0, rho14 - inner), rho23 - outer)
+        settled = ((rho11 >= 0.0) & (rho22 >= 0.0) & (rho44 >= 0.0)
+                   & (np.abs(rho11 + 2.0 * rho22 + rho44 - 1.0) <= CLAMP_TOL)
+                   & (rho14 <= outer + X_POSITIVITY_TOL) & (rho23 <= rho22 + X_POSITIVITY_TOL)
+                   & (c <= 1.0 + C_TOL))
+    return c, np.flatnonzero(~settled)
 
 
 def concurrence_general(rho: np.ndarray) -> float:
@@ -145,7 +177,7 @@ def entanglement_of_formation(c: float) -> float:
 
     Forming y = 1 - x as C^2 / (2 (1 + sqrt(1 - C^2))) and x log x through
     log1p(-y) avoids the cancellation of 1 - x at small C."""
-    if not -1e-12 <= c <= 1.0 + 1e-12:
+    if not -C_TOL <= c <= 1.0 + C_TOL:
         raise ValueError(f"concurrence {c!r} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
     y = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xyquench import cli, correlations
+from xyquench import cli, correlations, entanglement
 from xyquench.cli import RunSpec, _cell, _evaluate, build_spec, main, pair_observables
 from xyquench.errors import InvalidStateError, NumericalError
 from xyquench.lattice import ChainConfig
@@ -430,6 +431,46 @@ def test_injected_failure_names_its_first_point(monkeypatch, capsys, tmp_path):
     assert f"(at N = 2000, kT = 0.5, a = {a}, b = {b}, d = 1, t = inf)" in err
 
 
+def _inject_pair(monkeypatch, values):
+    """Make cli's M_z and three correlators read values, one (M_z, S^x, S^y, S^z) per point of a chunk."""
+    columns = np.array(values).T
+    for name, column in zip(("magnetization_z", "correlator_xx", "correlator_yy", "correlator_zz"), columns):
+        def injected(configs, *args, _column=column):
+            return _column[: len(configs)].copy()
+        monkeypatch.setattr(cli, name, injected)
+
+
+def test_concurrence_above_one_is_a_located_failure(monkeypatch, capsys, tmp_path):
+    # S^x = S^y = 1/4 + 4e-9 with M_z = 0 and S^z = -1/4 passes the |rho23|
+    # gate within its 1e-8 of slack, but C = 1 + 1.6e-8 is not physical: a
+    # numerical failure at its point, not a clamp and not invalid input.
+    _inject_pair(monkeypatch, [(0.0, 0.25 + 4e-9, 0.25 + 4e-9, -0.25)] * 3)  # two times and inf
+    assert main(["timeseries", "--n-sites", "8", "--t-steps", "2", "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == ("numerical failure: concurrence 1.000000016 exceeds 1 beyond 1e-12 "
+                                       "(at N = 8, kT = 0.0, a = 1.0, b = 1.0, d = 1, t = 0.0)\n")
+
+
+def test_clamps_before_the_first_invalid_point_of_a_chunk_warn_in_order(monkeypatch):
+    # One chunk: clean, a clamped rho11, clean, a clamped rho22, rho22 = -1/4
+    # (invalid), and a clamped rho44 after it.  The clamps before the invalid
+    # point warn and count in point order, the one after it never runs, and
+    # the error names the invalid point.
+    _inject_pair(monkeypatch, [(0.1, 0.03, -0.02, 0.05), (-0.125 - 5e-11, 0.0, 0.0, -0.125),
+                               (0.0, 0.1, 0.1, -0.2), (0.0, 0.0, 0.0, 0.25 + 3e-11),
+                               (0.0, 0.0, 0.0, 0.5), (0.125 + 4e-11, 0.0, 0.0, -0.125)])
+    configs = [ChainConfig(8, 1.0, 0.5, 1.001, 0.5)] * 6
+    before = entanglement.clamp_warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidStateError) as info:
+            _evaluate(configs, 1, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    assert [str(w.message) for w in caught] == ["clamping rho11 = -5.000e-11 to zero",
+                                                "clamping rho22 = -3.000e-11 to zero"]
+    assert entanglement.clamp_warnings - before == 2
+    assert str(info.value) == ("rho22 = -2.500000e-01 is negative beyond 1e-10 "
+                               "(at N = 8, kT = 0.5, a = 1.001, b = 0.5, d = 1, t = 2.0)")
+
+
 def _inject_zz(monkeypatch, bad):
     """Set S^z = 0.5 (so rho22 = -1/4) at the points whose time is in bad."""
     def injected(configs, d, times, _zz=cli.correlator_zz):
@@ -606,21 +647,27 @@ def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
 
 def test_surface_forms_one_dispersion_row_per_field(monkeypatch, tmp_path):
     # The a and b of a k x k surface take the same k fields: one Lambda(h)
-    # row each at N, shared by all chunks of the run (81 points, 3 chunks).
-    rows = Counter()
+    # row each at N, shared by all chunks of the run (81 points, 3 chunks),
+    # and one pair of t = inf columns per b: 9 at N, and at 2N one for each
+    # of the 5 doubled-N samples, whose b all differ.
+    builds = {name: Counter() for name in ("_dispersion", "_dephased")}
+    caches = list(correlations._FACTOR_CACHES)
+    for name, rows in builds.items():
+        fn = getattr(correlations, name)
 
-    def counted(n_sites, gamma, h, _fn=correlations._dispersion.__wrapped__):
-        rows[n_sites] += 1
-        return _fn(n_sites, gamma, h)
+        def counted(n_sites, gamma, h, _fn=fn.__wrapped__, _rows=rows):
+            _rows[n_sites] += 1
+            return _fn(n_sites, gamma, h)
 
-    cached = functools.lru_cache(maxsize=None)(counted)
-    caches = tuple(cached if c is correlations._dispersion else c for c in correlations._FACTOR_CACHES)
-    monkeypatch.setattr(correlations, "_FACTOR_CACHES", caches)
-    monkeypatch.setattr(correlations, "_dispersion", cached)
+        cached = functools.lru_cache(maxsize=fn.cache_parameters()["maxsize"])(counted)
+        caches = [cached if c is fn else c for c in caches]
+        monkeypatch.setattr(correlations, name, cached)
+    monkeypatch.setattr(correlations, "_FACTOR_CACHES", tuple(caches))
     code, _ = _run(tmp_path, "surface", "--n-sites", "2000", "--kt", "0.5", "--grid-steps", "9",
                    "--grid-min", "0.5", "--grid-max", "2.5")
     assert code == 0
-    assert rows[2000] == 9
+    assert builds["_dispersion"][2000] == 9
+    assert builds["_dephased"] == {2000: 9, 4000: cli.CONVERGENCE_SAMPLES}
 
 
 @pytest.mark.parametrize("chunk", [0, 2])

@@ -20,8 +20,8 @@ from xyquench.correlations import (
     mode_blocks,
     pfaffian,
 )
-from xyquench import ed
-from xyquench.cli import pair_observables
+from xyquench import cli, ed
+from xyquench.cli import _evaluate, pair_observables
 from xyquench.dynamics import spectral_mode_state
 from xyquench.lattice import ChainConfig, grid_arrays
 
@@ -314,6 +314,33 @@ def test_surface_batches_equal_point_by_point_mode_sums():
             assert np.max(np.abs(gamma_batch - _gamma_from_mode_sums(config, t, 3))) <= 1e-13
 
 
+def test_dephased_surface_rows_equal_one_point_runs(monkeypatch):
+    # The benchmark's surface (kT = 0, d = 3) reads C = 0 at every point, so
+    # its rows check no value of the dephased columns.  Here a 13 x 13 grid
+    # at N = 2000 and kT = 0.5 has C > 0 (at d = 1, for small a and large
+    # b); b = 1 freezes the phi = pi mode, chunks of 20 points cut across the
+    # runs of 13 points that share a, and pieces of 5 points cut each run.
+    # Its rows equal one-point runs (bitwise expected), and Gamma equals
+    # mode-by-mode sums.
+    grid = np.linspace(0.0, 3.0, 13)
+    configs = [ChainConfig(2000, 1.0, 0.5, float(a), float(b)) for a in grid for b in grid]
+    assert 1.0 in grid
+    times = [math.inf] * len(configs)
+    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 5 * 1000)
+    entangled = 0
+    for d in (1, 2, 3):
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 4 * (2 * d + 2) ** 2 * 20)
+        rows = np.array(_evaluate(configs, d, times))
+        single = np.array([pair_observables(config, d, math.inf) for config in configs])
+        assert np.max(np.abs(rows - single)) <= 1e-13
+        entangled += np.count_nonzero(rows[:, 4] > 0.0)
+    assert entangled > 10
+    with factor_scope():
+        stack = contraction_table(configs, times, 3)
+    for i in range(0, len(configs), 12):
+        assert np.max(np.abs(stack[i] - _gamma_from_mode_sums(configs[i], math.inf, 3))) <= 1e-13
+
+
 def test_configs_differing_only_in_kt_or_gamma_share_no_factors():
     base = ChainConfig(16, 0.7, 0.0, 0.6, 1.4)
     for other in (replace(base, kt=0.5), replace(base, gamma=1.1)):
@@ -338,7 +365,8 @@ def test_calls_outside_a_scope_leave_no_factors_cached():
              lambda t: contraction_table(config, t, 2), lambda t: correlator_xx(config, 2, t),
              lambda t: correlator_yy([config, config], 1, [t, 0.5]),
              lambda t: correlator_zz(config, 3, t))
-    names = ("_grid", "_dispersion", "_terms", "_tables", "_folded_tables", "_trig_table", "contraction_table")
+    names = ("_grid", "_dispersion", "_dephased", "_terms", "_tables", "_folded_tables", "_trig_table",
+             "contraction_table")
     for call in calls:
         for t in (1.3, math.inf):
             call(t)
@@ -352,8 +380,9 @@ def test_factor_caches_return_read_only_arrays():
     configs = (ChainConfig(n, gamma, kt, a, 1.4), ChainConfig(n, gamma, kt, 1.1, 0.3))
     times = (1.3, math.inf)
     # The finite-time point's run folds its b into _folded_tables; the
-    # dephased point's run reads _tables at its own a.
-    args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_terms": (n, gamma, kt, a),
+    # dephased point's run reads _tables at its own a and _dephased at its b.
+    args = {"_grid": (n, gamma), "_dispersion": (n, gamma, a), "_dephased": (n, gamma, 0.3),
+            "_terms": (n, gamma, kt, a),
             "_tables": (n, gamma, kt, 1.1, d_max), "_folded_tables": (n, gamma, kt, a, 1.4, d_max),
             "_trig_table": (n, gamma, d_max)}
 

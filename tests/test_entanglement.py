@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,11 +10,15 @@ import pytest
 
 import xyquench.entanglement as ent
 from xyquench.entanglement import (
+    C_TOL,
+    CLAMP_TOL,
+    X_POSITIVITY_TOL,
     TwoSiteState,
     concurrence_general,
     concurrence_x,
     entanglement_of_formation,
     two_site_state,
+    x_concurrences,
 )
 from xyquench.errors import InvalidStateError
 
@@ -162,6 +167,100 @@ def test_entanglement_of_formation_monotone():
 
 
 def test_entanglement_of_formation_rejects_out_of_range():
-    for bad in (-0.1, 1.1, 2.0):
+    for bad in (-0.1, 1.1, 1.5, 2.0):
         with pytest.raises(ValueError):
             entanglement_of_formation(bad)
+
+
+def test_concurrence_above_one_is_an_invalid_state():
+    # |rho23| = 1/2 + 8e-9 passes its gate, rho22 + 1e-8, but C = 1 + 1.6e-8.
+    state = two_site_state(0.0, 0.25 + 4e-9, 0.25 + 4e-9, -0.25)
+    with pytest.raises(InvalidStateError, match=r"^concurrence 1\.000000016 exceeds 1 beyond 1e-12$"):
+        concurrence_x(state)
+    assert concurrence_x(TwoSiteState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5 + C_TOL / 2)) == 1.0 + C_TOL
+
+
+def _scalar_route(mz, sx, sy, sz):
+    """(C or the InvalidStateError, clamp warning texts) of one point, by two_site_state and concurrence_x."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = concurrence_x(two_site_state(mz, sx, sy, sz))
+        except InvalidStateError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+def _ulps(x, k):
+    """x and its k floats on either side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def _gate_points():
+    """(M_z, S^x, S^y, S^z) points at, inside and past each gate, keyed by the error text past it."""
+    gates = {}
+    # Each diagonal entry at 0, in the clamp band [-CLAMP_TOL, 0), and below it.
+    gates["negative beyond"] = [point for e in (0.0, 5e-11, CLAMP_TOL, 2e-10) for point in (
+        (-0.125 - e, 0.0, 0.0, -0.125), (0.0, 0.0, 0.0, 0.25 + e), (0.125 + e, 0.0, 0.0, -0.125))]
+    # A clamped rho22 counts twice in the trace, which reads 1 + 2e; around
+    # e = CLAMP_TOL / 2 the trace steps past CLAMP_TOL ulp by ulp.
+    gates["two-site trace"] = [(0.0, 0.0, 0.0, sz) for sz in _ulps(0.25 + CLAMP_TOL / 2, 8)]
+    # |rho14| = S^x - S^y at sqrt(rho11 rho44) + X_POSITIVITY_TOL, exactly and
+    # one ulp either side (halves of a float sum back to it exactly).
+    mz, sz = 0.1, 0.05
+    outer = math.sqrt((mz + sz + 0.25) * (-mz + sz + 0.25)) + X_POSITIVITY_TOL
+    gates["|rho14|"] = [(mz, x, -x, sz) for x in _ulps(outer / 2, 2)]
+    # |rho23| = S^x + S^y at rho22 + X_POSITIVITY_TOL.
+    mz, sz = 0.0, -0.2
+    gates["|rho23|"] = [(mz, x, x, sz) for x in _ulps((-sz + 0.25 + X_POSITIVITY_TOL) / 2, 2)]
+    # C = 4 S^x at 1 + C_TOL (rho22 = 1/2, rho11 = rho44 = 0), at 1 and past
+    # the gate's slack; no positivity gate fails there.
+    gates["concurrence"] = [(0.0, x, x, -0.25) for x in [*_ulps((1.0 + C_TOL) / 4, 2), 0.25, 0.25 + 4e-9]]
+    # A NaN or an infinity in each input.
+    gates["is not finite"] = []
+    for i, bad in ((i, bad) for i in range(4) for bad in (math.nan, math.inf, -math.inf)):
+        point = [0.1, 0.03, -0.02, 0.05]
+        point[i] = bad
+        gates["is not finite"].append(tuple(point))
+    return gates
+
+
+def _random_points(rng, count):
+    """Pair states near and inside the gates, and correlators drawn with no regard for them."""
+    p = rng.dirichlet(np.ones(3), count)
+    rho11, rho22, rho44 = p[:, 0], p[:, 1] / 2, p[:, 2]
+    r14 = rng.uniform(-1.01, 1.01, count) * np.sqrt(rho11 * rho44)
+    r23 = rng.uniform(-1.01, 1.01, count) * rho22
+    physical = np.stack([(rho11 - rho44) / 2, (r23 + r14) / 2, (r23 - r14) / 2, 0.25 - rho22], axis=1)
+    return [*map(tuple, physical), *map(tuple, rng.uniform(-0.3, 0.3, (count, 4)))]
+
+
+def test_array_route_equals_the_scalar_route():
+    # x_concurrences leaves to the scalar route exactly the points that warn
+    # or raise there, and gives every other point the scalar C bit for bit,
+    # never -0.0.
+    gates = _gate_points()
+    points = [point for group in gates.values() for point in group]
+    points += _random_points(np.random.default_rng(29), 2000)
+    c, left = x_concurrences(*np.array(points).T)
+    outcomes = [_scalar_route(*point) for point in points]
+    assert left.tolist() == [i for i, (result, caught) in enumerate(outcomes)
+                             if caught or isinstance(result, InvalidStateError)]
+    settled = sorted(set(range(len(points))) - set(left.tolist()))
+    for i in settled:
+        assert float(c[i]).hex() == outcomes[i][0].hex(), points[i]
+        assert str(float(c[i])) != "-0.0"
+    assert any(c[i] > 0.0 for i in settled) and any(c[i] == 0.0 for i in settled)
+    # Every gate is met from both sides, but a NaN or an infinity always fails.
+    for error, group in gates.items():
+        results = [_scalar_route(*point)[0] for point in group]
+        failed = [error in str(r) for r in results if isinstance(r, InvalidStateError)]
+        assert any(failed) and (error == "is not finite") != any(isinstance(r, float) for r in results), error
+    caught = {text.split(" = ")[0] for _, texts in outcomes for text in texts}
+    assert caught == {"clamping rho11", "clamping rho22", "clamping rho44"}
