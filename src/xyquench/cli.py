@@ -124,17 +124,18 @@ def _evaluate(configs: list, d: int, times: list) -> list:
     """pair_observables at every point (configs of one ring size), in point order.
 
     Gamma, the three strings and M_z run once per chunk of
-    CHUNK_ELEMENTS // (4 (2d + 2)^2) points (625 at d = 1), sized by Gamma's
-    complex entries; correlations streams the (points x modes) columns in
-    pieces of its own.  One factor_scope computes each field's mode factors
-    once per run, and none outlive the call.  The two-site state and its
-    concurrence are taken over the chunk's arrays (x_concurrences); the
-    points those leave (a clamp, a failed gate, a non-finite value) go
+    CHUNK_ELEMENTS // (2d + 2)^2 points (2,500 at d = 1, 625 at d = 3), so a
+    chunk's Gamma holds at most CHUNK_ELEMENTS complex entries; correlations
+    streams the (points x modes) columns in pieces of its own, one matrix
+    product per piece and table.  One factor_scope computes each field's
+    mode factors once per run, and none outlive the call.  The two-site state
+    and its concurrence are taken over the chunk's arrays (x_concurrences);
+    the points those leave (a clamp, a failed gate, a non-finite value) go
     through two_site_state and concurrence_x in point order, so each clamp
-    warns as it would point by point and the first non-physical point is
-    the one reported, with its location.  EoF runs per point.
+    warns as it would point by point and the first non-physical point is the
+    one reported, with its location.  EoF runs per point.
     """
-    size = max(1, CHUNK_ELEMENTS // (4 * (2 * d + 2) ** 2))
+    size = max(1, CHUNK_ELEMENTS // (2 * d + 2) ** 2)
     rows = []
     with factor_scope():
         for i in range(0, len(configs), size):

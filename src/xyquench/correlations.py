@@ -27,8 +27,8 @@ sequence may be a list, a tuple or a numpy array.  A NaN time is invalid, and
 so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _columns).
 A batch is cut into runs of points (_runs), each evaluated from (points x
 modes) arrays of its (b, t) columns, streamed in pieces of the run for the
-contraction sums; results have a leading points axis, and one point is the
-batch of one and gives its entry.
+contraction sums, one matrix product per piece and table; results have a
+leading points axis, and one point is the batch of one and gives its entry.
 The batches evaluated inside one factor_scope share each field's mode
 factors, and a batch's strings and magnetization share its Gamma.
 
@@ -67,9 +67,8 @@ DEGENERACY_EPS = 1e-12
 IMAG_TOL = 1e-10
 # Points x modes in one piece of a run's (b, t) columns (_contractions): 4 times
 # at N = 20000, 40 points at N = 2000.  It bounds the piece's two columns (_columns),
-# 8 bytes per element each, formed with no other (points x modes) array; at
-# 60000, with three columns then, the peak RSS of a 61 x 61 surface at
-# N = 2000 rose by 2%.
+# 8 bytes per element each, formed with no other (points x modes) array, and
+# cli._evaluate's chunks, whose Gamma holds at most this many complex entries.
 CHUNK_ELEMENTS = 40000
 
 
@@ -383,17 +382,18 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
     S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
     points (_runs), each sum over d = 0..d_max is a head plus a bilinear form
-    of a column and a table, taken as one (1 x modes) @ (modes x offsets)
-    product per point: the same BLAS call for every batch size, so a point's
-    sums do not depend on its batch.  Dephased points sharing a take their
-    per-point columns w and x_b w against the per-a tables (_tables).  Finite-
-    time points sharing (a, b) take two products against the run's folded
-    tables (_folded_tables): sin^2(2 t Lambda_b) gives C and S together, and
-    sin(4 t Lambda_b)/2 gives I.  Each run streams its columns (_columns) in
-    pieces of CHUNK_ELEMENTS // modes points, over the rule's nodes, each freed
-    before the next is formed.  The stack is held read-only (_held) until
-    another stack replaces it, and a later call on points equal to its own
-    for offsets up to its d_max slices it.
+    of a column and a table, taken as one (points x modes) @ (modes x
+    offsets) product per piece of the run and table.  A point's sums may move
+    by an ulp with the piece it lands in, but reruns are bitwise equal, also
+    at 1 and 2 BLAS threads (checked in CI).  Dephased points sharing a take
+    their per-point columns w and x_b w against the per-a tables (_tables).
+    Finite-time points sharing (a, b) take two products against the run's
+    folded tables (_folded_tables): sin^2(2 t Lambda_b) gives C and S
+    together, and sin(4 t Lambda_b)/2 gives I.  Each run streams its columns
+    (_columns) in pieces of CHUNK_ELEMENTS // modes points, over the rule's
+    nodes, each freed before the next is formed.  The stack is held
+    read-only (_held) until another stack replaces it, and a later call on
+    points equal to its own for offsets up to its d_max slices it.
     """
     global _held
     n = configs[0].n_sites
@@ -412,12 +412,11 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
             if key[3] is None:
                 for i, (head, scale, table) in enumerate(_tables(n, *key[:3], d_max)):
                     sums[rows, i] = head
-                    sums[rows, i] += scale * gap * np.matmul(columns[i][:, None, :], table)[:, 0]
+                    sums[rows, i] += scale * gap * (columns[i] @ table)
             else:
                 heads, table, half_table = _folded_tables(n, *key, d_max)
-                cs = np.matmul(columns[0][:, None, :], table)[:, 0]
-                sums[rows, :2] = heads + cs.reshape(-1, 2, d_max + 1)
-                sums[rows, 2] = np.matmul(columns[1][:, None, :], half_table)[:, 0]
+                sums[rows, :2] = heads + (columns[0] @ table).reshape(-1, 2, d_max + 1)
+                sums[rows, 2] = columns[1] @ half_table
             del columns  # this piece's columns go before _columns forms the next
     c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)

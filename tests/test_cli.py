@@ -21,9 +21,9 @@ QUENCH = ("--field-a", "1.001", "--field-b", "0.5", "--kt", "0.5")
 TINY = ("--n-sites", "8", "--t-steps", "3", "--t-end", "1.0")
 
 
-def _chunks_of(monkeypatch, points):
-    """Make _evaluate's chunks at d = 1 hold points points: Gamma is 4 x 4 there."""
-    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 4 * 4**2 * points)
+def _chunks_of(monkeypatch, points, d=1):
+    """Make _evaluate's chunks at offset d hold points points: Gamma is (2d + 2) x (2d + 2)."""
+    monkeypatch.setattr(cli, "CHUNK_ELEMENTS", (2 * d + 2) ** 2 * points)
     return points
 
 
@@ -613,16 +613,18 @@ def test_batched_observables_equal_one_point_calls():
 def test_chunk_size_does_not_move_rows(monkeypatch):
     # The mode-block budget (correlations: blocks of 1, 3 or all 30 points at
     # 32 modes) and the Gamma-chunk budget (cli: chunks of 1, 6 or 30 points
-    # at d = 2) vary independently; neither moves a row.
+    # at d = 2; 13 and 3 points at d = 1 and 3) vary independently; neither
+    # moves a row at any offset.
     configs, times = _mixed_points(np.random.default_rng(21))
-    rows = {}
-    for blocks in (1, 100, 10**9):
-        for chunks in (1, 1000, 10**9):
-            monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
-            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", chunks)
-            rows[blocks, chunks] = np.array(_evaluate(configs, 2, times))
-    whole = rows[10**9, 10**9]
-    assert max(np.max(np.abs(values - whole)) for values in rows.values()) <= 1e-13
+    for d in (1, 2, 3):
+        rows = {}
+        for blocks in (1, 100, 10**9):
+            for chunks in (1, 6 * 6**2, 10**9):
+                monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
+                monkeypatch.setattr(cli, "CHUNK_ELEMENTS", chunks)
+                rows[blocks, chunks] = np.array(_evaluate(configs, d, times))
+        whole = rows[10**9, 10**9]
+        assert max(np.max(np.abs(values - whole)) for values in rows.values()) <= 1e-13
 
 
 def test_pair_observables_builds_the_grid_once_per_call(monkeypatch):
@@ -687,13 +689,17 @@ def test_first_invalid_point_of_a_batch_is_named(monkeypatch, chunk):
 
 
 # (argv, chunks at the default budget, chunks of 5 points).  At d = 1 the
-# default budget holds 625 points, so each run is one chunk at N plus one for
-# its 5 doubled-N samples at 2N; oracle-compare takes one per ring.  In
-# chunks of 5 the surface's 16 points take 4 and the time series' 10 (9 times
-# and inf) take 2, each plus 1 at 2N.
+# default budget holds 2,500 points, so each run is one chunk at N plus one
+# for its 5 doubled-N samples at 2N; oracle-compare takes one per ring.  At
+# d = 3 it holds 625, so the 676 points of a 26 x 26 surface take 2 chunks,
+# plus 1 at 2N.  In chunks of 5 the surface's 16 points take 4, the 26 x 26
+# surface's 676 take 136 and the time series' 10 (9 times and inf) take 2,
+# each plus 1 at 2N.
 RUNS = {
     "surface": (["surface", "--n-sites", "32", "--grid-steps", "4", "--grid-min", "0.5",
                  "--grid-max", "1.5"], 1 + 1, 4 + 1),
+    "surface-d3": (["surface", "--n-sites", "32", "--grid-steps", "26", "--grid-min", "0.5",
+                    "--grid-max", "1.5", "--offset", "3"], 2 + 1, 136 + 1),
     "timeseries": (["timeseries", "--n-sites", "32", "--t-steps", "9", *QUENCH], 1 + 1, 2 + 1),
     "oracle-compare": (["oracle-compare", *QUENCH, "--n-list", "6,8", "--t-end", "2.0",
                         "--t-steps", "3"], 2, 2),
@@ -716,7 +722,7 @@ def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, run, chunk
         monkeypatch.setattr(correlations, name, counted)
     monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
     if chunk:
-        _chunks_of(monkeypatch, chunk)
+        _chunks_of(monkeypatch, chunk, build_spec(argv).offset)
     assert main([*argv, "--kt", "0.5", "--out", str(tmp_path / "o.csv")]) == 0
     chunks = chunks_of_5 if chunk else default_chunks
     assert calls == {"pfaffian": 3 * chunks, "contraction_table": 3 * chunks}

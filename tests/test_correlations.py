@@ -273,6 +273,30 @@ def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
     assert np.max(np.abs(streamed - whole)) <= 1e-13
 
 
+def test_pieces_move_gamma_by_an_ulp_at_most(monkeypatch):
+    # Each piece of a run takes one matrix product per table, so a point's sums
+    # may move by an ulp with the piece it lands in.  Budgets of 1 (one point
+    # per piece), 100 (6 points at 16 modes) and 10**9 (whole runs) cut
+    # dephased runs of 9 points sharing a and finite-time runs of 9 times;
+    # b = 1 freezes the phi = pi mode and a = 1 at kT = 0 makes it degenerate.
+    # Two calls at one budget are bitwise equal.
+    fields = (0.3, 1.0, 1.7)
+    configs, times = [], []
+    for kt, a in product((0.0, 0.4), fields):
+        configs += [ChainConfig(32, 0.7, kt, a, b) for b in np.linspace(0.2, 1.8, 9)]
+        times += [math.inf] * 9
+        for b in fields:
+            configs += [ChainConfig(32, 0.7, kt, a, b)] * 9
+            times += [0.0, 0.4, 1.3, 2.0, 2.9, 5.5, 7.5, 11.3, 19.7]
+    assert 1.0 in np.linspace(0.2, 1.8, 9)
+    stacks = {}
+    for budget in (1, 100, 10**9):
+        monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", budget)
+        stacks[budget] = contraction_table(configs, times, 3)
+        assert np.array_equal(contraction_table(configs, times, 3), stacks[budget])
+    assert max(np.max(np.abs(stack - stacks[1])) for stack in stacks.values()) <= 1e-13
+
+
 def _gamma_from_mode_sums(config, t, d_max, nodes=None):
     """Gamma of one point, summed mode by mode from mode_blocks of that point alone.
 
@@ -320,8 +344,8 @@ def test_dephased_surface_rows_equal_one_point_runs(monkeypatch):
     # at N = 2000 and kT = 0.5 has C > 0 (at d = 1, for small a and large
     # b); b = 1 freezes the phi = pi mode, chunks of 20 points cut across the
     # runs of 13 points that share a, and pieces of 5 points cut each run.
-    # Its rows equal one-point runs (bitwise expected), and Gamma equals
-    # mode-by-mode sums.
+    # Its rows equal one-point runs (within 1e-13; an ulp may move with the
+    # piece), and Gamma equals mode-by-mode sums.
     grid = np.linspace(0.0, 3.0, 13)
     configs = [ChainConfig(2000, 1.0, 0.5, float(a), float(b)) for a in grid for b in grid]
     assert 1.0 in grid
@@ -329,7 +353,7 @@ def test_dephased_surface_rows_equal_one_point_runs(monkeypatch):
     monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 5 * 1000)
     entangled = 0
     for d in (1, 2, 3):
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 4 * (2 * d + 2) ** 2 * 20)
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", (2 * d + 2) ** 2 * 20)
         rows = np.array(_evaluate(configs, d, times))
         single = np.array([pair_observables(config, d, math.inf) for config in configs])
         assert np.max(np.abs(rows - single)) <= 1e-13
