@@ -30,8 +30,8 @@ import numpy as np
 
 from .correlations import CHUNK_ELEMENTS, correlator_xx, correlator_yy, correlator_zz, factor_scope, magnetization_z
 from .ed import quench_series
-from .entanglement import concurrence_general, concurrence_x, entanglement_of_formation, two_site_state, x_concurrences
-from .errors import NumericalError, at_point
+from .entanglement import concurrence_general, entanglement_of_formation, x_concurrences
+from .errors import InvalidStateError, NumericalError, at_point
 from .lattice import ChainConfig
 
 # The RunSpec fields each subcommand reads: its flags (--n-sites for
@@ -129,11 +129,9 @@ def _evaluate(configs: list, d: int, times: list) -> list:
     streams the (points x modes) columns in pieces of its own, one matrix
     product per piece and table.  One factor_scope computes each field's
     mode factors once per run, and none outlive the call.  The two-site state
-    and its concurrence are taken over the chunk's arrays (x_concurrences);
-    the points those leave (a clamp, a failed gate, a non-finite value) go
-    through two_site_state and concurrence_x in point order, so each clamp
-    warns as it would point by point and the first non-physical point is the
-    one reported, with its location.  EoF runs per point.
+    and its concurrence are taken over the chunk's arrays (x_concurrences),
+    which warn for each clamp in point order and stop at the first
+    non-physical point; its index locates it.  EoF runs per point.
     """
     size = max(1, CHUNK_ELEMENTS // (2 * d + 2) ** 2)
     rows = []
@@ -144,15 +142,12 @@ def _evaluate(configs: list, d: int, times: list) -> list:
             sy = correlator_yy(chunk, d, at)
             sz = correlator_zz(chunk, d, at)
             mz = magnetization_z(chunk, at)
-            c, left = x_concurrences(mz, sx, sy, sz)
-            values = mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist()
-            for j in left.tolist():
-                try:
-                    c[j] = concurrence_x(two_site_state(*(column[j] for column in values)))
-                except NumericalError as exc:
-                    raise at_point(exc, chunk[j], d, at[j]) from exc
-            c = c.tolist()
-            rows += zip(*values, c, [entanglement_of_formation(x) if x else 0.0 for x in c])
+            try:
+                c = x_concurrences(mz, sx, sy, sz).tolist()
+            except InvalidStateError as exc:
+                raise at_point(exc, chunk[exc.index], d, at[exc.index]) from exc
+            rows += zip(mz.tolist(), sx.tolist(), sy.tolist(), sz.tolist(), c,
+                        [entanglement_of_formation(x) if x else 0.0 for x in c])
     return rows
 
 

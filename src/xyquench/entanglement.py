@@ -13,18 +13,16 @@ with off-diagonals built from the same-axis correlators, rho14 = Sx - Sy and
 rho23 = Sx + Sy, taken as real.  That holds in equilibrium and in the
 dephased t -> infinity state.  After a quench, at finite t, rho14 also has an
 imaginary part, carried by <S^x S^y> + <S^y S^x>, which this assembly drops
-(Im rho23 stays 0).  Concurrence comes either from the X-state closed form or
-from the generic spectrum of rho * (sy x sy) rho^* (sy x sy); both paths are
-kept so one can check the other.  x_concurrences takes the assembly and the
-closed form over arrays of points, and leaves every point that would clamp
-or fail to the scalar functions.
+(Im rho23 stays 0).  The assembly, its clamps and gates and the closed form
+are written once, over arrays of points (x_concurrences); two_site_state and
+concurrence_x are its one-point calls, and concurrence_general checks it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .errors import InvalidStateError
 CLAMP_TOL = 1e-10
 X_POSITIVITY_TOL = 1e-8
 # A concurrence may exceed 1 by this much, rounding; the positivity gates'
-# slack lets a state past it through, and concurrence_x rejects it.
+# slack lets a state past it through, and the C gate rejects it.
 C_TOL = 1e-12
 
 clamp_warnings = 0
@@ -70,95 +68,96 @@ class TwoSiteState:
         return out
 
 
-def _clamped_diag(value: float, label: str) -> float:
+def _finite(labels, values) -> list:
+    """The checks that each row of values is finite, named by labels."""
+    return [(~np.isfinite(row), True, f"{label} = {{}} is not finite", row) for label, row in zip(labels, values)]
+
+
+def _settle(checks: list) -> None:
+    """Warn for each clamp in point order, and raise at the first point that fails a gate.
+
+    A check is (mask, fatal, text, *values) over the points, in the order one point meets them; its
+    message is text formatted with the point's values.  A clamp counts in clamp_warnings.  The failing
+    point, the error's index, warns for the clamps it met first, and no later point warns."""
     global clamp_warnings
-    if value >= 0.0:
-        return value
-    if value >= -CLAMP_TOL:
-        clamp_warnings += 1
-        warnings.warn(f"clamping {label} = {value:.3e} to zero", stacklevel=3)
-        return 0.0
-    raise InvalidStateError(f"{label} = {value:.6e} is negative beyond {CLAMP_TOL}")
+    for i in np.flatnonzero(np.logical_or.reduce([check[0] for check in checks])).tolist():
+        for _, fatal, text, *values in (check for check in checks if check[0][i]):
+            message = text.format(*(value[i].item() for value in values))
+            if fatal:
+                raise InvalidStateError(message, index=i)
+            clamp_warnings += 1
+            warnings.warn(message, stacklevel=3)
 
 
-def two_site_state(mz: float, sx: float, sy: float, sz: float) -> TwoSiteState:
-    """Assemble the pair state from M_z and the three same-axis correlators.
-
-    Uses the uniform-chain form (both sites share the magnetization mz).
-    Non-finite inputs and violations of trace or positivity beyond tolerance
-    raise instead of being silently repaired.
-    """
-    if not math.isfinite(mz + sx + sy + sz):  # one test per state: NaN and inf survive the sum
-        for label, value in (("M_z", mz), ("S^x", sx), ("S^y", sy), ("S^z", sz)):
-            if not math.isfinite(value):
-                raise InvalidStateError(f"{label} = {value} is not finite")
-    rho11 = _clamped_diag(mz + sz + 0.25, "rho11")
-    rho22 = _clamped_diag(-sz + 0.25, "rho22")
-    rho44 = _clamped_diag(-mz + sz + 0.25, "rho44")
-    rho14 = sx - sy
-    rho23 = sx + sy
-    trace = rho11 + 2.0 * rho22 + rho44
-    if abs(trace - 1.0) > CLAMP_TOL:
-        raise InvalidStateError(f"two-site trace {trace!r} differs from 1 beyond {CLAMP_TOL}")
-    outer = math.sqrt(rho11 * rho44)
-    if abs(rho14) > outer + X_POSITIVITY_TOL:
-        raise InvalidStateError(
-            f"|rho14| = {abs(rho14):.6e} exceeds sqrt(rho11 rho44) = {outer:.6e} "
-            f"by {abs(rho14) - outer:.1e}"
-        )
-    if abs(rho23) > rho22 + X_POSITIVITY_TOL:
-        raise InvalidStateError(
-            f"|rho23| = {abs(rho23):.6e} exceeds rho22 = {rho22:.6e} by {abs(rho23) - rho22:.1e}"
-        )
-    return TwoSiteState(rho11, rho22, rho22, rho44, rho14, rho23)
+def _x_states(mz, sx, sy, sz) -> tuple:
+    """(TwoSiteState's six entries, their checks) at each point; both sites share mz, so rho33 is rho22."""
+    mz, sx, sy, sz = inputs = np.array([mz, sx, sy, sz], dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        diagonal = np.array([mz + sz + 0.25, -sz + 0.25, -mz + sz + 0.25])
+        clamped = (diagonal < 0.0) & (diagonal >= -CLAMP_TOL)
+        rho11, rho22, rho44 = np.where(clamped, 0.0, diagonal)
+        rho14, rho23 = sx - sy, sx + sy
+        trace, outer = rho11 + 2.0 * rho22 + rho44, np.sqrt(rho11 * rho44)
+        abs14, abs23 = np.abs(rho14), np.abs(rho23)
+        checks = _finite(("M_z", "S^x", "S^y", "S^z"), inputs)
+        for label, value, clamp in zip(("rho11", "rho22", "rho44"), diagonal, clamped):
+            checks += [(clamp, False, f"clamping {label} = {{:.3e}} to zero", value),
+                       (value < -CLAMP_TOL, True, f"{label} = {{:.6e}} is negative beyond {CLAMP_TOL}", value)]
+        checks += [
+            (np.abs(trace - 1.0) > CLAMP_TOL, True, f"two-site trace {{!r}} differs from 1 beyond {CLAMP_TOL}",
+             trace),
+            (abs14 > outer + X_POSITIVITY_TOL, True,
+             "|rho14| = {:.6e} exceeds sqrt(rho11 rho44) = {:.6e} by {:.1e}", abs14, outer, abs14 - outer),
+            (abs23 > rho22 + X_POSITIVITY_TOL, True, "|rho23| = {:.6e} exceeds rho22 = {:.6e} by {:.1e}",
+             abs23, rho22, abs23 - rho22)]
+    return (rho11, rho22, rho22, rho44, rho14, rho23), checks
 
 
-def concurrence_x(state: TwoSiteState) -> float:
-    """Wootters concurrence of an X state in closed form (Yu & Eberly, QIC 7, 459 (2007)).
+def _concurrences(rho11, rho22, rho33, rho44, rho14, rho23) -> tuple:
+    """(C, its check) by Yu & Eberly's closed form (QIC 7, 459 (2007)), over arrays.
 
-    C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)).
-    A C above 1 + C_TOL raises InvalidStateError: the state passed
-    two_site_state's gates within their slack but is not physical.
-    """
-    root_outer = math.sqrt(max(state.rho11 * state.rho44, 0.0))
-    root_inner = math.sqrt(max(state.rho22 * state.rho33, 0.0))
-    c = 2.0 * max(0.0, abs(state.rho14) - root_inner, abs(state.rho23) - root_outer)
-    if c > 1.0 + C_TOL:
-        raise InvalidStateError(f"concurrence {c!r} exceeds 1 beyond {C_TOL}")
+    C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)) fails above 1 + C_TOL."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        outer = np.sqrt(np.maximum(rho11 * rho44, 0.0))
+        inner = np.sqrt(np.maximum(rho22 * rho33, 0.0))
+        c = 2.0 * np.maximum(np.maximum(0.0, np.abs(rho14) - inner), np.abs(rho23) - outer)
+    return c, (c > 1.0 + C_TOL, True, f"concurrence {{!r}} exceeds 1 beyond {C_TOL}", c)
+
+
+def x_concurrences(mz, sx, sy, sz) -> np.ndarray:
+    """C of the pair state at each point of the (M_z, S^x, S^y, S^z) arrays, in one pass."""
+    entries, checks = _x_states(mz, sx, sy, sz)
+    c, gate = _concurrences(*entries)
+    _settle(checks + [gate])
     return c
 
 
-def x_concurrences(mz: np.ndarray, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> tuple:
-    """(C, left): concurrence_x(two_site_state(...)) over arrays of points, and the points it leaves.
+def two_site_state(mz: float, sx: float, sy: float, sz: float) -> TwoSiteState:
+    """The pair state of one point, clamped and gated as in x_concurrences but for the C gate."""
+    entries, checks = _x_states([mz], [sx], [sy], [sz])
+    _settle(checks)
+    return TwoSiteState(*(entry.item() for entry in entries))
 
-    left holds, in order, the index of each point that two_site_state would
-    clamp or reject or whose C concurrence_x would reject; their C is the
-    caller's to take through those functions.  Every other point gets their
-    C bit for bit, from the same expressions.  NaN fails every comparison,
-    and an infinite input makes the trace or a gate non-finite.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        rho11, rho22, rho44 = mz + sz + 0.25, -sz + 0.25, -mz + sz + 0.25
-        rho14, rho23 = np.abs(sx - sy), np.abs(sx + sy)
-        outer = np.sqrt(np.maximum(rho11 * rho44, 0.0))
-        inner = np.sqrt(np.maximum(rho22 * rho22, 0.0))
-        c = 2.0 * np.maximum(np.maximum(0.0, rho14 - inner), rho23 - outer)
-        settled = ((rho11 >= 0.0) & (rho22 >= 0.0) & (rho44 >= 0.0)
-                   & (np.abs(rho11 + 2.0 * rho22 + rho44 - 1.0) <= CLAMP_TOL)
-                   & (rho14 <= outer + X_POSITIVITY_TOL) & (rho23 <= rho22 + X_POSITIVITY_TOL)
-                   & (c <= 1.0 + C_TOL))
-    return c, np.flatnonzero(~settled)
+
+def concurrence_x(state: TwoSiteState) -> float:
+    """Wootters concurrence of any X state by x_concurrences' closed form; a non-finite entry fails."""
+    entries = np.array([[value] for value in astuple(state)], dtype=float)
+    c, gate = _concurrences(*entries)
+    _settle(_finite([f.name for f in fields(state)], entries) + [gate])
+    return c.item()
 
 
 def concurrence_general(rho: np.ndarray) -> float:
     """Wootters concurrence of an arbitrary two-qubit density matrix.
 
-    Validates Hermiticity, unit trace and positivity to 1e-8, then takes the
-    square roots of the eigenvalues of rho * rho_tilde.
+    Validates finiteness, Hermiticity, unit trace and positivity to 1e-8,
+    then takes the square roots of the eigenvalues of rho * rho_tilde.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # NaN would pass the checks below, and eigvalsh fail on it
+        raise InvalidStateError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise InvalidStateError("density matrix is not Hermitian to 1e-8")
     if abs(np.trace(rho).real - 1.0) > 1e-8:

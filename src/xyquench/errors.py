@@ -6,7 +6,11 @@ class NumericalError(RuntimeError):
 
 
 class InvalidStateError(NumericalError):
-    """A density matrix violated trace or positivity constraints."""
+    """A density matrix violated trace or positivity constraints; index is the failing point of a batch."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class IntegrationError(NumericalError):

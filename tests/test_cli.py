@@ -259,8 +259,9 @@ def test_timeseries_csv_layout(tmp_path):
     assert header == ["t", "M_z", "S^x", "S^y", "S^z", "C", "EoF"]
     assert [r[0] for r in rows] == ["0.0", "0.5", "1.0", "inf", "avg"]
     config = ChainConfig(8, 1.0, 0.5, 1.001, 0.5)
+    # A point's sums may move by an ulp with the piece of the batch it lands in.
     expected = pair_observables(config, 1, 0.5)
-    assert [float(v) for v in rows[1][1:]] == list(expected)
+    assert [float(v) for v in rows[1][1:]] == pytest.approx(list(expected), rel=0.0, abs=1e-13)
 
 
 def test_csv_cells_are_str_of_the_json_values(tmp_path):

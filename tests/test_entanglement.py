@@ -1,8 +1,9 @@
-"""X-state assembly, concurrence (both routes), and entanglement of formation."""
+"""X-state assembly, concurrence (closed form and spectral route), and entanglement of formation."""
 
 import math
 import re
 import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -127,6 +128,27 @@ def test_concurrence_general_validates_input():
         concurrence_general(negative)
 
 
+def test_concurrence_general_rejects_non_finite_entries():
+    # NaN compares False, so it would pass the Hermiticity and trace checks
+    # and fail inside eigvalsh; an infinity warns in the Hermiticity check.
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        for row, col in ((0, 0), (0, 3), (1, 2)):
+            rho = BELL.matrix()
+            rho[row, col] = bad
+            with pytest.raises(InvalidStateError, match=r"^density matrix has a non-finite entry$"):
+                concurrence_general(rho)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_concurrence_x_rejects_non_finite_entries(bad):
+    # Each entry is named.  The closed form alone would give a finite C for
+    # some: an infinite rho11 makes sqrt(rho11 rho44) infinite and C = 0.
+    for label in ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"):
+        state = replace(TwoSiteState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0), **{label: bad})
+        with pytest.raises(InvalidStateError, match=rf"^{label} = {bad} is not finite$"):
+            concurrence_x(state)
+
+
 def test_concurrence_ignores_off_diagonal_signs():
     rng = np.random.default_rng(18)
     for _ in range(50):
@@ -180,12 +202,24 @@ def test_concurrence_above_one_is_an_invalid_state():
     assert concurrence_x(TwoSiteState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5 + C_TOL / 2)) == 1.0 + C_TOL
 
 
-def _scalar_route(mz, sx, sy, sz):
-    """(C or the InvalidStateError, clamp warning texts) of one point, by two_site_state and concurrence_x."""
+def _one_point(point):
+    """((state, C) or the InvalidStateError, clamp warning texts) of one point, by two_site_state and concurrence_x."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = concurrence_x(two_site_state(mz, sx, sy, sz))
+            state = two_site_state(*point)
+            result = state, concurrence_x(state)
+        except InvalidStateError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+def _batch(points):
+    """(C or the InvalidStateError, clamp warning texts) of x_concurrences over the points."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = x_concurrences(*np.array(points, dtype=float).T)
         except InvalidStateError as exc:
             result = exc
     return result, [str(w.message) for w in caught]
@@ -241,26 +275,81 @@ def _random_points(rng, count):
     return [*map(tuple, physical), *map(tuple, rng.uniform(-0.3, 0.3, (count, 4)))]
 
 
-def test_array_route_equals_the_scalar_route():
-    # x_concurrences leaves to the scalar route exactly the points that warn
-    # or raise there, and gives every other point the scalar C bit for bit,
-    # never -0.0.
+def test_batches_equal_one_point_calls_and_the_spectral_route():
+    # A batch gives each point its one-point C bit for bit, never -0.0, and
+    # warns and fails as its points would one at a time.  The spectral route
+    # shares no code with the closed form; it agrees within 1e-12 on physical
+    # states and within 4 X_POSITIVITY_TOL on states inside a positivity
+    # gate's slack (their smallest eigenvalue goes down to -1e-8).
     gates = _gate_points()
     points = [point for group in gates.values() for point in group]
     points += _random_points(np.random.default_rng(29), 2000)
-    c, left = x_concurrences(*np.array(points).T)
-    outcomes = [_scalar_route(*point) for point in points]
-    assert left.tolist() == [i for i, (result, caught) in enumerate(outcomes)
-                             if caught or isinstance(result, InvalidStateError)]
-    settled = sorted(set(range(len(points))) - set(left.tolist()))
-    for i in settled:
-        assert float(c[i]).hex() == outcomes[i][0].hex(), points[i]
-        assert str(float(c[i])) != "-0.0"
-    assert any(c[i] > 0.0 for i in settled) and any(c[i] == 0.0 for i in settled)
+    outcomes = [_one_point(point) for point in points]
+    failing = [i for i, (result, _) in enumerate(outcomes) if isinstance(result, InvalidStateError)]
+    valid = sorted(set(range(len(points))) - set(failing))
+    c, caught = _batch([points[i] for i in valid])
+    assert [x.hex() for x in c.tolist()] == [outcomes[i][0][1].hex() for i in valid]
+    assert caught == [text for i in valid for text in outcomes[i][1]]
+    assert "-0.0" not in map(str, c.tolist()) and any(c > 0.0) and any(c == 0.0)
+    slack = 0
+    for i in valid:
+        state, closed = outcomes[i][0]
+        physical = abs(state.rho14) <= math.sqrt(state.rho11 * state.rho44) and abs(state.rho23) <= state.rho22
+        slack += not physical
+        bound = 1e-12 if physical else 4 * X_POSITIVITY_TOL
+        assert abs(closed - concurrence_general(state.matrix())) <= bound, points[i]
+    assert 0 < slack < len(valid)
+    # Batches of valid points with clamps, two failing points among them: the
+    # first of those fails, with its one-point text, after the clamps before it.
+    warned = [i for i in valid if outcomes[i][1]]
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        batch = rng.permutation([*rng.choice(valid, 36), *rng.choice(warned, 2), *rng.choice(failing, 2)]).tolist()
+        first = min(k for k, i in enumerate(batch) if i in failing)
+        error, caught = _batch([points[i] for i in batch])
+        assert (str(error), error.index) == (str(outcomes[batch[first]][0]), first)
+        assert caught == [text for i in batch[: first + 1] for text in outcomes[i][1]]
     # Every gate is met from both sides, but a NaN or an infinity always fails.
     for error, group in gates.items():
-        results = [_scalar_route(*point)[0] for point in group]
+        results = [_one_point(point)[0] for point in group]
         failed = [error in str(r) for r in results if isinstance(r, InvalidStateError)]
-        assert any(failed) and (error == "is not finite") != any(isinstance(r, float) for r in results), error
+        assert any(failed) and (error == "is not finite") != any(isinstance(r, tuple) for r in results), error
     caught = {text.split(" = ")[0] for _, texts in outcomes for text in texts}
     assert caught == {"clamping rho11", "clamping rho22", "clamping rho44"}
+
+
+# One point past each gate: its InvalidStateError text in full and the clamp
+# warnings it gives before that gate.
+GATE_TEXTS = {
+    "M_z": ((math.nan, 0.03, -0.02, 0.05), "M_z = nan is not finite", []),
+    "S^x": ((0.1, math.inf, -0.02, 0.05), "S^x = inf is not finite", []),
+    "S^y": ((0.1, 0.03, -math.inf, 0.05), "S^y = -inf is not finite", []),
+    "S^z": ((0.1, 0.03, -0.02, math.nan), "S^z = nan is not finite", []),
+    # rho11 = -2e-10 fails before rho22 = -5e-11 clamps.
+    "rho11": ((-0.5 - 2.5e-10, 0.0, 0.0, 0.25 + 5e-11), "rho11 = -2.000000e-10 is negative beyond 1e-10", []),
+    "rho22": ((-0.5 - 2.5e-10, 0.0, 0.0, 0.25 + 2e-10), "rho22 = -2.000000e-10 is negative beyond 1e-10",
+              ["clamping rho11 = -5.000e-11 to zero"]),
+    "rho44": ((7.5e-11, 0.0, 0.0, -0.25 - 1.25e-10), "rho44 = -2.000000e-10 is negative beyond 1e-10",
+              ["clamping rho11 = -5.000e-11 to zero"]),
+    "trace": ((0.0, 0.0, 0.0, 0.25000000005000006), "two-site trace 1.0000000001 differs from 1 beyond 1e-10",
+              ["clamping rho22 = -5.000e-11 to zero"]),
+    "rho14": ((0.1, 0.14142136123730956, -0.14142136123730956, 0.05),
+              "|rho14| = 2.828427e-01 exceeds sqrt(rho11 rho44) = 2.828427e-01 by 1.0e-08", []),
+    "rho14-clamped": ((0.0, 0.3, -0.3, 0.25 + 3e-11),
+                      "|rho14| = 6.000000e-01 exceeds sqrt(rho11 rho44) = 5.000000e-01 by 1.0e-01",
+                      ["clamping rho22 = -3.000e-11 to zero"]),
+    "rho23": ((0.0, 0.22500000500000003, 0.22500000500000003, -0.2),
+              "|rho23| = 4.500000e-01 exceeds rho22 = 4.500000e-01 by 1.0e-08", []),
+    "C": ((0.0, 0.2500000000002501, 0.2500000000002501, -0.25),
+          "concurrence 1.0000000000010003 exceeds 1 beyond 1e-12", []),
+}
+
+
+@pytest.mark.parametrize("gate", GATE_TEXTS)
+def test_each_gate_text_is_pinned_whole(gate):
+    point, text, clamps = GATE_TEXTS[gate]
+    # One point at a time, and second in a batch after a clean point.
+    error, caught = _one_point(point)
+    assert (str(error), caught) == (text, clamps)
+    error, caught = _batch([(0.1, 0.03, -0.02, 0.05), point, (0.0, 0.0, 0.0, 0.25 + 3e-11)])
+    assert (str(error), error.index, caught) == (text, 1, clamps)
