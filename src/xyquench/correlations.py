@@ -5,20 +5,20 @@ observable reduces to the three elementary contractions <B_l A_m>, <A_l A_m>
 and <B_l B_m>.  They depend only on the offset m - l, through three weighted
 mode sums sum_p weight_p f(phi_p) over the nodes of lattice.grid_arrays: the
 cos- and sin-weighted halves C and S of <BA> and the imaginary part I shared
-by <AA> and <BB>.  The summands are the evolved
-per-mode states of mode_blocks, the package's one closed form for them
-(dynamics reaches the same states by diagonalization, as a test oracle).
-Every factor of that form depends on the field a alone or on (b, t) alone,
-so the sums are taken as bilinear forms of per-a rows and per-(b, t)
-columns.  Dephased, the columns depend on b alone and are built once per
-distinct b (_dephased), so a surface forms one pair of rows per field, not
-per point.  At finite t the factors of b alone go into the tables of each run
-of points sharing (a, b), and the columns carry only the phase 2 t Lambda_b.
-contraction_table arranges the sums
-into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d),
-and each spin-spin correlator is 1/4 times the Pfaffian of the rows and
-columns of Gamma that its operator string picks out (Wick's theorem for the
-quadratic fermion problem).
+by <AA> and <BB>.  The summands are the evolved per-mode states of
+mode_blocks, the package's one closed form for them (dynamics reaches the
+same states by diagonalization, as a test oracle).  Every factor of that form
+depends on the field a alone or on (b, t) alone, so the sums are taken as
+bilinear forms of per-a rows and per-(b, t) columns.  _fold holds the factors
+of b alone, at finite t and at t = inf alike.  Dephased, the folded columns
+depend on b alone and are built once per distinct b (_dephased), so a
+surface forms one pair of rows per field, not per point.  At finite t the
+factors go into the tables of each run of points sharing (a, b), and the
+columns carry only the phase 2 t Lambda_b.  contraction_table arranges the
+sums into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ...,
+A_d, B_d), and each spin-spin correlator is 1/4 times the Pfaffian of the
+rows and columns of Gamma that its operator string picks out (Wick's theorem
+for the quadratic fermion problem).
 
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
@@ -176,10 +176,11 @@ def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list
 def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v: np.ndarray) -> None:
     """w, xw and v times 1/Lambda_b^2, x_b/Lambda_b^2 and 2/Lambda_b per mode (their last axis), in place.
 
-    These are a finite-time run's factors of b alone: with them the columns
-    sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 of _columns give w, x_b w and v.
-    Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b and 1, since their
-    columns hold the series limits themselves.
+    These are the factors of b alone, at finite t and at t = inf alike: with
+    them the phase columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 give w,
+    x_b w and v (_folded_tables, _dephased and mode_blocks).  Frozen modes
+    (Lambda_b below SERIES_EPS) take 1, x_b and 1, since their columns hold
+    the series limits themselves.
     """
     lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
     evolving = lam >= SERIES_EPS
@@ -215,21 +216,18 @@ def _folded_tables(n_sites: int, gamma: float, kt: float, a: float, b: float, d_
 
 @lru_cache(maxsize=None)
 def _dephased(n_sites: int, gamma: float, b: float) -> np.ndarray:
-    """(w, x_b w) of field b at t = inf, a (2 x modes) array; w = 1/(2 Lambda_b^2), 0 on frozen modes.
+    """(w, x_b w) of field b at t = inf, a (2 x modes) array: the phase columns folded by _fold.
 
-    A surface meets each b once per a, so the rows are formed once per
-    distinct b and copied into each dephased piece by _columns.
+    Dephased, sin^2(2 t Lambda_b) -> 1/2 on evolving modes and 0 on frozen
+    ones, which never dephase, and sin(4 t Lambda_b)/2 -> 0 in a scratch row,
+    so w = 1/(2 Lambda_b^2) and v = 0.  A surface meets each b once per a, so
+    the rows are formed once per distinct b and copied into each dephased
+    piece by _columns.
     """
-    lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
+    lam = _dispersion(n_sites, gamma, b)
     rows = np.empty((2, lam.size))
-    w, xw = rows
-    evolving = lam >= SERIES_EPS
-    np.divide(1.0, lam, out=w, where=evolving)
-    w[~evolving] = 0.0
-    w *= w
-    w *= 0.5
-    np.add(b, cos, out=xw)
-    xw *= w
+    rows[:] = np.where(lam >= SERIES_EPS, 0.5, 0.0)
+    _fold(n_sites, gamma, b, *rows, np.zeros(lam.size))
     return _read_only(rows)[0]
 
 
@@ -252,9 +250,9 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
 
     columns is a (2 x points x modes) array.  Dephased, gap = b - a per point
     as a column, and the two columns are w = 1/(2 Lambda_b^2) and x_b w
-    (v = 0): each point's rows of _dephased, built once per distinct b in
-    the scope and copied in by one stack.  At finite t, gap = b - a and the
-    columns carry only the phase,
+    (v = 0): each point's rows of _dephased, its t = inf phase columns folded
+    by _fold once per distinct b in the scope, copied in by one stack.  At
+    finite t, gap = b - a and the columns carry only the phase,
     sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 = u/(1 + u^2)
     from one u = tan(2 t Lambda_b), in the columns' own buffers, so no other
     (points x modes) array is made; frozen modes hold the series limits
@@ -335,11 +333,11 @@ def mode_blocks(config, t) -> ModeBlocks:
     each a head and a row that depend on a alone (_terms), and a column w,
     x_b w or v that depends on (b, t) alone, with
     w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
-    Dephased, w = 1/(2 Lambda_b^2) and v = 0, formed once per b (_dephased); modes
-    with Lambda_b below SERIES_EPS take the series limits w = (2t)^2, v = 4t
-    and never dephase (w = 0).  At finite t, _columns forms only the phase
-    columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2, and the factors of b
-    alone (_fold) turn them into w, x_b w and v.  The contraction sums read
+    Modes with Lambda_b below SERIES_EPS take the series limits w = (2t)^2,
+    v = 4t and never dephase (w = 0).  The phase columns sin^2(2 t Lambda_b)
+    and sin(4 t Lambda_b)/2 go to 1/2 and 0 at t = inf (_dephased, once per b)
+    and come from _columns at finite t; at both, the factors of b alone
+    (_fold) turn them into w, x_b w and v.  The contraction sums read
     the same factors as bilinear forms (_contractions).  For a batch the
     arrays are (points x modes), formed by one _columns call per run of
     points (_runs).

@@ -24,6 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Largest |gamma|, |a| and |b| taken.  Up to it Lambda^2 and delta^2 stay normal
+# floats; past about 1e155 the dephased w = 1/(2 Lambda_b^2) does not (at
+# b = 1e200 it is 0, and the t = inf row silently equals the t = 0 one).
+PARAMETER_BOUND = 1e150
+
+
 def dispersion(phi: float, h: float, gamma: float) -> float:
     """Quasiparticle energy Lambda(h) = sqrt((cos phi + h)^2 + (gamma sin phi)^2)."""
     return math.hypot(math.cos(phi) + h, gamma * math.sin(phi))
@@ -47,8 +53,9 @@ class ChainConfig:
         if not self.kt >= 0:  # NaN fails too; kt = inf is the infinite-temperature state
             raise ValueError(f"kt must be non-negative, got {self.kt}")
         for name in ("gamma", "field_before", "field_after"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not abs(getattr(self, name)) <= PARAMETER_BOUND:  # NaN and +-inf fail too
+                raise ValueError(f"{name} must be finite and at most {PARAMETER_BOUND:g} in magnitude, "
+                                 f"got {getattr(self, name)}")
 
 
 def grid_arrays(config: ChainConfig):

@@ -590,6 +590,33 @@ def test_overflowing_time_is_a_located_failure(tmp_path, capsys):
                                   "Lambda_b is past 2^33")
 
 
+BOUND_REQUEST = ("timeseries", "--n-sites", "64", "--kt", "0.5", "--t-end", "0", "--t-steps", "1")
+
+
+def test_parameters_past_the_bound_exit_one_and_name_the_field(tmp_path, capsys):
+    # Unbounded, b = 1e200 made the dephased w = 1/(2 Lambda_b^2) 0, so its
+    # inf row silently equalled its t = 0 row (C = 0.1312) with exit 0, and
+    # gamma = 1e308 exited 2 on "M_z = nan is not finite".
+    for flag, value, name in (("--field-b", "1e200", "field_after"), ("--gamma", "1e308", "gamma")):
+        assert main([*BOUND_REQUEST, flag, value, "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == (f"error: {name} must be finite and at most 1e+150 in magnitude, "
+                                           f"got {float(value)}\n")
+
+
+def test_a_field_at_the_bound_dephases_like_any_large_field(tmp_path):
+    # At b = 1e150 the dephased state is that of b -> infinity: the inf row
+    # of b = 1e12 within 2e-13 (measured 1.97e-13, on M_z), with C = 0.
+    inf_rows = []
+    for b in ("1e150", "1e12"):
+        code, text = _run(tmp_path, *BOUND_REQUEST, "--field-b", b)
+        assert code == 0
+        _, rows = _csv_rows(text)
+        assert [r[0] for r in rows] == ["0.0", "inf"]
+        inf_rows.append([float(x) for x in rows[1][1:]])
+        assert inf_rows[-1][4] == 0.0 and float(rows[0][5]) > 0.13  # C at t = inf and at t = 0
+    assert inf_rows[0] == pytest.approx(inf_rows[1], rel=0.0, abs=2e-13)
+
+
 # ------------------------------------------------------- batched evaluation
 
 

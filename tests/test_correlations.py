@@ -676,6 +676,23 @@ def test_spin_flip_negates_only_mz_on_the_paper_grid():
     _assert_spin_flip(64)
 
 
+@pytest.mark.parametrize("n, gamma, kt, a, b", [(64, 1.0, 0.0, 1.5, 0.5), (64, 0.6, 0.5, 0.6, 1.4),
+                                                (64, 0.3, 0.0, -0.8, 0.2), (2000, 1.0, 0.5, 1.001, 0.5)])
+def test_time_reversal_conjugates_gamma(n, gamma, kt, a, b):
+    # H is real, so rho(-t) = rho(t)*: Gamma(-t) = Gamma(t)*, and the
+    # same-axis rows (M_z, S^x, S^y, S^z, hence C and EoF) are even in t.
+    # An Im rho14 of the pair state (ROADMAP item 3) must then come out odd.
+    config = ChainConfig(n, gamma, kt, a, b)
+    times = [0.7, 1.3, 3.3, 25.0]
+    backward = [-t for t in times]
+    for d in (1, 2, 3):
+        forward = contraction_table(config, times, d)
+        assert np.abs(forward.imag).max() > 1e-3  # the conjugate is not the matrix itself
+        assert np.max(np.abs(contraction_table(config, backward, d) - forward.conj())) <= 1e-14
+        rows = np.array(_evaluate([config] * len(times), d, times))
+        assert np.max(np.abs(np.array(_evaluate([config] * len(times), d, backward)) - rows)) <= 1e-14
+
+
 def test_quench_tracks_exact_diagonalization():
     # The mode picture drops an O(1/N) boundary term, so at N = 8 agreement
     # is loose; the acceptance suite checks that it tightens with N.

@@ -1,13 +1,14 @@
 """Configuration, momentum grid, and dispersion."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from xyquench import correlations
 from xyquench.correlations import factor_scope
-from xyquench.lattice import ChainConfig, dispersion, grid_arrays
+from xyquench.lattice import PARAMETER_BOUND, ChainConfig, dispersion, grid_arrays
 
 
 def test_dispersion_values():
@@ -44,6 +45,19 @@ def test_chain_config_validation():
                 (1.0, 0.0, math.nan, 0.5), (1.0, 0.0, -math.inf, 0.5), (1.0, 0.0, 1.0, math.inf)):
         with pytest.raises(ValueError):
             ChainConfig(8, *bad)
+
+
+def test_chain_config_bounds_gamma_and_the_fields():
+    # Up to the bound Lambda^2 and delta^2 stay normal floats; just past it,
+    # and at NaN and +-inf, each parameter is rejected by name.
+    ChainConfig(8, -PARAMETER_BOUND, 0.0, PARAMETER_BOUND, -PARAMETER_BOUND)
+    for i, name in enumerate(("gamma", "field_before", "field_after")):
+        for bad in (math.nextafter(PARAMETER_BOUND, math.inf), -1e200, math.nan, math.inf):
+            values = [1.0, 1.0, 1.0]
+            values[i] = bad
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and at most 1e\+150 in magnitude, "
+                               rf"got {re.escape(str(bad))}$"):
+                ChainConfig(8, values[0], 0.0, *values[1:])
 
 
 def test_mode_grid_small_chains():
