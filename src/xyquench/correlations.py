@@ -9,16 +9,18 @@ by <AA> and <BB>.  The summands are the evolved per-mode states of
 mode_blocks, the package's one closed form for them (dynamics reaches the
 same states by diagonalization, as a test oracle).  Every factor of that form
 depends on the field a alone or on (b, t) alone, so the sums are taken as
-bilinear forms of per-a rows and per-(b, t) columns.  _fold holds the factors
-of b alone, at finite t and at t = inf alike.  Dephased, the folded columns
-depend on b alone and are built once per distinct b (_dephased), so a
-surface forms one pair of rows per field, not per point.  At finite t the
-factors go into the tables of each run of points sharing (a, b), and the
-columns carry only the phase 2 t Lambda_b.  contraction_table arranges the
-sums into the skew contraction matrix Gamma over (A_0, B_0, A_1, B_1, ...,
-A_d, B_d), and each spin-spin correlator is 1/4 times the Pfaffian of the
-rows and columns of Gamma that its operator string picks out (Wick's theorem
-for the quadratic fermion problem).
+bilinear forms of per-a rows and per-(b, t) columns.  Each run of points
+forms its tables, the weighted cos/sin tables times its rows (_tables), once
+and drops them when it ends.  _fold holds the factors of b alone, at finite
+t and at t = inf alike.  Dephased, the folded columns depend on b alone and
+are built once per distinct b (_dephased), so a surface forms one pair of
+rows per field, not per point.  At finite t the factors are folded into the
+tables of each run of points sharing (a, b), and the columns carry only the
+phase 2 t Lambda_b.  contraction_table arranges the sums into the skew
+contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d), and each
+spin-spin correlator is 1/4 times the Pfaffian of the rows and columns of
+Gamma that its operator string picks out (Wick's theorem for the quadratic
+fermion problem).
 
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
@@ -29,8 +31,9 @@ A batch is cut into runs of points (_runs), each evaluated from (points x
 modes) arrays of its (b, t) columns, streamed in pieces of the run for the
 contraction sums, one matrix product per piece and table; results have a
 leading points axis, and one point is the batch of one and gives its entry.
-The batches evaluated inside one factor_scope share each field's mode
-factors, and a batch's strings and magnetization share its Gamma.
+The batches evaluated inside one factor_scope share the four caches of
+_FACTOR_CACHES (the grid, Lambda(h) per field, the dephased rows per b and
+the trig tables), and a batch's strings and magnetization share its Gamma.
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -128,14 +131,11 @@ def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
     return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
 
 
-@lru_cache(maxsize=1)
 def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
     """(head, scale, row) of rho22 - rho11, Im rho12 and Re rho12 at field a.
 
     Each quantity is head + scale (b - a) row column per mode (mode_blocks),
     with the weight W = tanh(Lambda_a/kT)/Lambda_a of the Gibbs state at a.
-    Only the last a is kept: a surface row or a time series meets its a in
-    one stretch of consecutive batches.
     """
     lam_a, (_, cos, delta, _) = _dispersion(n_sites, gamma, a), _grid(n_sites, gamma)
     # tanh = 1 where Lambda_a/kT overflows, at kT = 0 or a subnormal kT.  W = 0
@@ -147,8 +147,7 @@ def _terms(n_sites: int, gamma: float, kt: float, a: float) -> tuple:
         tanh = np.tanh(np.divide(lam_a, kt, out=np.zeros_like(lam_a), where=live))
     weight = np.divide(tanh, lam_a, out=np.zeros_like(lam_a), where=live)
     wd = weight * delta
-    head, wdd, quarter, wd = _read_only(weight * (cos + a), wd * delta, 0.25 * wd, wd)
-    return (head, 0.5, wdd), (quarter, -0.5, wd), (None, 0.25, wd)
+    return (weight * (cos + a), 0.5, wd * delta), (0.25 * wd, -0.5, wd), (None, 0.25, wd)
 
 
 @lru_cache(maxsize=None)
@@ -159,18 +158,24 @@ def _trig_table(n_sites: int, gamma: float, d_max: int) -> tuple[np.ndarray, np.
     return _read_only(weight * np.cos(angle), weight * np.sin(angle))
 
 
-@lru_cache(maxsize=1)
-def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> list:
-    """(head @ table.T, scale, (table * row).T) of C and S with their trig tables, for dephased runs.
+def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> tuple:
+    """(heads, scales, table, half_table): the mode-sum tables of one run at field a.
 
-    The tables are weighted cos and sin (see _contractions); dephased, v = 0,
-    so I has no term.  Only the last a is kept, as for _terms.
+    table holds the weighted cos and sin tables (_trig_table) times _terms'
+    rows of C and S, half_table the sin table times the row of I, each as an
+    (offsets x modes) array in a fresh buffer, and heads the head terms of C
+    and S.  _contractions forms them once per run of points, before its
+    pieces, and a finite-time run folds its b into them in place.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
-    (head_c, scale_c, row_c), (head_s, scale_s, row_s), _ = _terms(n_sites, gamma, kt, a)
-    table_c, table_s = (cos * row_c).T, (sin * row_s).T
-    head_c, head_s, table_c, table_s = _read_only(head_c @ cos.T, head_s @ sin.T, table_c, table_s)
-    return [(head_c, scale_c, table_c), (head_s, scale_s, table_s)]
+    terms = _terms(n_sites, gamma, kt, a)
+    # Two buffers, not one (3 x offsets x modes) array: at N = 40000 the one
+    # array raised the time series' peak RSS by 0.2 MB.
+    table, half = np.empty((2, *cos.shape)), np.empty(cos.shape)
+    for out, trig, (_, _, row) in zip((table[0], table[1], half), (cos, sin, sin), terms):
+        np.multiply(trig, row, out=out)
+    heads = np.stack((terms[0][0] @ cos.T, terms[1][0] @ sin.T))
+    return heads, [scale for _, scale, _ in terms], table, half
 
 
 def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v: np.ndarray) -> None:
@@ -178,9 +183,9 @@ def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v
 
     These are the factors of b alone, at finite t and at t = inf alike: with
     them the phase columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 give w,
-    x_b w and v (_folded_tables, _dephased and mode_blocks).  Frozen modes
-    (Lambda_b below SERIES_EPS) take 1, x_b and 1, since their columns hold
-    the series limits themselves.
+    x_b w and v (a finite-time run's tables in _contractions, _dephased and
+    mode_blocks).  Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b and
+    1, since their columns hold the series limits themselves.
     """
     lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
     evolving = lam >= SERIES_EPS
@@ -188,30 +193,6 @@ def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v
         np.divide(out, lam, out=out, where=evolving)
     np.multiply(v, 2.0, out=v, where=evolving)
     xw *= cos + b
-
-
-@lru_cache(maxsize=1)
-def _folded_tables(n_sites: int, gamma: float, kt: float, a: float, b: float, d_max: int) -> tuple:
-    """(heads, table, half_table) of a finite-time run a -> b, with every factor of b folded in.
-
-    Per point, C and S side by side are heads + sin^2(2 t Lambda_b) @ table,
-    and I is sin(4 t Lambda_b)/2 @ half_table.  Each table is its trig table
-    times _terms' row, scale and b - a, folded by _fold in the buffers that
-    are kept.  Only the last run is kept: a time series meets its (a, b) in
-    one stretch.
-    """
-    cos, sin = _trig_table(n_sites, gamma, d_max)
-    terms = _terms(n_sites, gamma, kt, a)
-    # Two buffers, not one (3 x offsets x modes) array: at N = 40000 the one
-    # array raised the time series' peak RSS by 0.2 MB.
-    table, half = np.empty((2, *cos.shape)), np.empty(cos.shape)
-    outs = (table[0], table[1], half)
-    for out, trig, (_, scale, row) in zip(outs, (cos, sin, sin), terms):
-        np.multiply(trig, row, out=out)
-        out *= scale * (b - a)
-    _fold(n_sites, gamma, b, *outs)
-    heads = np.stack((terms[0][0] @ cos.T, terms[1][0] @ sin.T))
-    return _read_only(heads, table.reshape(-1, cos.shape[1]).T, half.T)
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +238,7 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     from one u = tan(2 t Lambda_b), in the columns' own buffers, so no other
     (points x modes) array is made; frozen modes hold the series limits
     (2t)^2 and 4t.  The factors of b alone that turn them into w, x_b w and v
-    (_fold) are the run's, folded into its _folded_tables.
+    (_fold) are folded once into the run's tables (_contractions).
     """
     gamma, _, a, b = key
     columns = np.empty((2, len(configs), _grid(n, gamma)[1].size))
@@ -295,14 +276,15 @@ _lookups = {"hits": 0, "misses": 0}  # of _held, over every run
 
 @contextmanager
 def factor_scope():
-    """Share the per-a and per-b factors among the batches evaluated inside.
+    """Share each field's mode factors among the batches evaluated inside.
 
     A run evaluates all its batches in one scope, so Lambda(h) is computed
     once per distinct (N, gamma, h) of the run, for a and b alike.  Scopes
-    nest; the caches (_FACTOR_CACHES: the factors and the trig tables) and the
-    held Gamma are emptied when the outermost one ends, so nothing a run
-    caches outlives it.  Each public function here runs in a scope, so a call
-    made outside any scope is a run of its own and leaves nothing cached.
+    nest; the four caches (_FACTOR_CACHES: the grid, Lambda(h) per field, the
+    dephased rows per b and the trig tables) and the held Gamma are emptied
+    when the outermost one ends, so nothing a run caches outlives it.  Each
+    public function here runs in a scope, so a call made outside any scope
+    is a run of its own and leaves nothing cached.
     """
     global _open_scopes, _held
     _open_scopes += 1
@@ -383,13 +365,15 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     of a column and a table, taken as one (points x modes) @ (modes x
     offsets) product per piece of the run and table.  A point's sums may move
     by an ulp with the piece it lands in, but reruns are bitwise equal, also
-    at 1 and 2 BLAS threads (checked in CI).  Dephased points sharing a take
-    their per-point columns w and x_b w against the per-a tables (_tables).
-    Finite-time points sharing (a, b) take two products against the run's
-    folded tables (_folded_tables): sin^2(2 t Lambda_b) gives C and S
-    together, and sin(4 t Lambda_b)/2 gives I.  Each run streams its columns
-    (_columns) in pieces of CHUNK_ELEMENTS // modes points, over the rule's
-    nodes, each freed before the next is formed.  The stack is held
+    at 1 and 2 BLAS threads (checked in CI).  Each run forms its tables
+    (_tables) once, before its pieces, and drops them when it ends.  Dephased
+    points sharing a take their per-point columns w and x_b w against the C
+    and S tables.  A finite-time run of points sharing (a, b) scales its
+    tables by scale (b - a) and folds its factors of b alone into them
+    (_fold), then takes two products per piece: sin^2(2 t Lambda_b) gives C
+    and S together, and sin(4 t Lambda_b)/2 gives I.  Each run streams its
+    columns (_columns) in pieces of CHUNK_ELEMENTS // modes points, over the
+    rule's nodes, each freed before the next is formed.  The stack is held
     read-only (_held) until another stack replaces it, and a later call on
     points equal to its own for offsets up to its d_max slices it.
     """
@@ -404,18 +388,25 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     size = max(1, CHUNK_ELEMENTS // _grid(n, configs[0].gamma)[1].size)
     sums = np.zeros((len(configs), 3, d_max + 1))
     for key, run in _runs(configs, times):
+        _, _, a, b = key
+        heads, scales, table, half = _tables(n, *key[:3], d_max)
+        if b is not None:  # the run's factors of b alone, folded into its tables once
+            for out, scale in zip((table[0], table[1], half), scales):
+                out *= scale * (b - a)
+            _fold(n, key[0], b, table[0], table[1], half)
         for start in range(run.start, run.stop, size):
             rows = slice(start, min(start + size, run.stop))
             gap, columns = _columns(n, key, configs[rows], times[rows])
-            if key[3] is None:
-                for i, (head, scale, table) in enumerate(_tables(n, *key[:3], d_max)):
-                    sums[rows, i] = head
-                    sums[rows, i] += scale * gap * (columns[i] @ table)
+            if b is None:
+                for i in range(2):
+                    sums[rows, i] = heads[i]
+                    sums[rows, i] += scales[i] * gap * (columns[i] @ table[i].T)
             else:
-                heads, table, half_table = _folded_tables(n, *key, d_max)
-                sums[rows, :2] = heads + (columns[0] @ table).reshape(-1, 2, d_max + 1)
-                sums[rows, 2] = columns[1] @ half_table
+                both = columns[0] @ table.reshape(2 * d_max + 2, -1).T  # C and S side by side
+                sums[rows, :2] = heads + both.reshape(-1, 2, d_max + 1)
+                sums[rows, 2] = columns[1] @ half.T
             del columns  # this piece's columns go before _columns forms the next
+        del table, half  # and the run's tables before the next run forms its own
     c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]
@@ -447,7 +438,7 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
 
 
 contraction_table.cache_info = lambda: SimpleNamespace(**_lookups, currsize=int(_held is not None))
-_FACTOR_CACHES = (_grid, _dispersion, _dephased, _terms, _tables, _folded_tables, _trig_table)
+_FACTOR_CACHES = (_grid, _dispersion, _dephased, _trig_table)
 
 
 def pfaffian(m):

@@ -126,6 +126,17 @@ def test_readme_command_lines_parse(tmp_path, capsys):
     assert build_spec(["timeseries", "--config", str(cfg)]).config == str(cfg)
 
 
+def test_readme_library_example_runs():
+    # The README's library example runs as written and gives six finite
+    # values, with C and EoF in [0, 1].
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Library use", 1)[1]
+    namespace = {}
+    exec(re.findall(r"```python\n(.*?)```", section, re.S)[0], namespace)
+    values = [namespace[name] for name in ("mz", "sx", "sy", "sz", "c", "eof")]
+    assert all(math.isfinite(value) for value in values)
+    assert 0.0 <= namespace["c"] <= 1.0 and 0.0 <= namespace["eof"] <= 1.0
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n-sights = 8\n")
@@ -775,28 +786,32 @@ def test_one_column_pass_per_point_per_run(monkeypatch, tmp_path):
 @pytest.mark.parametrize("blocks", [1, None], ids=["blocks-of-1", "default-blocks"])
 def test_a_finite_time_run_folds_its_tables_once_per_ring_size(monkeypatch, tmp_path, blocks):
     # A run's factors of b alone are folded into its tables once, however many
-    # blocks its points stream in (one block per point at a budget of 1); the
-    # inf row between the times and the window reads the per-a tables and
-    # leaves them in place.  A dephased surface folds none.
-    builds = Counter()
-    fn = correlations._folded_tables
+    # blocks its points stream in (one block per point at a budget of 1).  At
+    # N the times and the window are two finite-time runs, split by the inf
+    # row, and the doubled-N samples are one.  A dephased surface folds no
+    # tables: _dephased folds its own rows.
+    tables, folds = [], Counter()
 
-    def counted(n_sites, *key, _fn=fn.__wrapped__):
-        builds[n_sites] += 1
-        return _fn(n_sites, *key)
+    def formed(*args, _fn=correlations._tables):
+        out = _fn(*args)
+        tables.append(out[2])
+        return out
 
-    cached = functools.lru_cache(maxsize=fn.cache_parameters()["maxsize"])(counted)
-    monkeypatch.setattr(correlations, "_FACTOR_CACHES",
-                        tuple(cached if c is fn else c for c in correlations._FACTOR_CACHES))
-    monkeypatch.setattr(correlations, "_folded_tables", cached)
+    def fold(n_sites, gamma, b, w, *rest, _fn=correlations._fold):
+        if any(np.shares_memory(w, table) for table in tables):
+            folds[n_sites] += 1
+        return _fn(n_sites, gamma, b, w, *rest)
+
+    monkeypatch.setattr(correlations, "_tables", formed)
+    monkeypatch.setattr(correlations, "_fold", fold)
     if blocks:
         monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", blocks)
     argv = ["timeseries", "--n-sites", "32", "--t-steps", "9", "--time-average", "1", *QUENCH]
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
-    assert builds == {32: 1, 64: 1}
-    builds.clear()
+    assert folds == {32: 2, 64: 1}
+    folds.clear()
     assert main([*RUNS["surface"][0], "--kt", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
-    assert builds == {}
+    assert tables and folds == {}
 
 
 # ------------------------------------------------------------ physics knobs
