@@ -80,10 +80,6 @@ class RunSpec:
             if isinstance(value, float) and (math.isnan(value) or math.isinf(value) and f.name != "kt"):
                 need = "a number" if f.name == "kt" else "finite"
                 raise ValueError(f"--{f.name.replace('_', '-')} must be {need}, got {value}")
-        if self.n_sites < 4 or self.n_sites % 2:
-            raise ValueError(f"--n-sites must be even and >= 4, got {self.n_sites}")
-        if self.kt < 0:
-            raise ValueError(f"--kt must be non-negative, got {self.kt}")
         if self.offset not in (1, 2, 3):
             raise ValueError(f"--offset must be 1, 2 or 3, got {self.offset}")
         if self.t_start < 0 or self.t_end < self.t_start:
@@ -109,6 +105,11 @@ class RunSpec:
         for n in self.n_list:
             if not 4 <= n <= 12 or n % 2:
                 raise ValueError(f"--n-list entries must be even and in 4..12, got {n}")
+        # Past half the ring the long-way string is wrong on the paper grid,
+        # though (0, d) and (0, N - d) are one pair distance.
+        ring = min(self.n_list) if self.command == "oracle-compare" else self.n_sites
+        if 2 * self.offset > ring:
+            raise ValueError(f"--offset must be at most half the ring size {ring}, got {self.offset}")
 
 
 def pair_observables(config: ChainConfig, d: int, t: float):
@@ -125,13 +126,10 @@ def _evaluate(configs: list, d: int, times: list) -> list:
 
     Gamma, the three strings and M_z run once per chunk of
     CHUNK_ELEMENTS // (2d + 2)^2 points (2,500 at d = 1, 625 at d = 3), so a
-    chunk's Gamma holds at most CHUNK_ELEMENTS complex entries; correlations
-    streams the (points x modes) columns in pieces of its own, one matrix
-    product per piece and table.  One factor_scope computes each field's
-    mode factors once per run, and none outlive the call.  The two-site state
-    and its concurrence are taken over the chunk's arrays (x_concurrences),
-    which warn for each clamp in point order and stop at the first
-    non-physical point; its index locates it.  EoF runs per point.
+    chunk's Gamma holds at most CHUNK_ELEMENTS complex entries.  The call is
+    one factor_scope.  The two-site state and its concurrence are taken over
+    the chunk's arrays (x_concurrences), which stop at the first non-physical
+    point; its index locates it.  EoF runs per point.
     """
     size = max(1, CHUNK_ELEMENTS // (2 * d + 2) ** 2)
     rows = []

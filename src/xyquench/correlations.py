@@ -3,37 +3,22 @@
 With A_l = c_l^dag + c_l and B_l = c_l^dag - c_l, every equal-time spin
 observable reduces to the three elementary contractions <B_l A_m>, <A_l A_m>
 and <B_l B_m>.  They depend only on the offset m - l, through three weighted
-mode sums sum_p weight_p f(phi_p) over the nodes of lattice.grid_arrays: the
-cos- and sin-weighted halves C and S of <BA> and the imaginary part I shared
-by <AA> and <BB>.  The summands are the evolved per-mode states of
-mode_blocks, the package's one closed form for them (dynamics reaches the
-same states by diagonalization, as a test oracle).  Every factor of that form
-depends on the field a alone or on (b, t) alone, so the sums are taken as
-bilinear forms of per-a rows and per-(b, t) columns.  Each run of points
-forms its tables, the weighted cos/sin tables times its rows (_tables), once
-and drops them when it ends.  _fold holds the factors of b alone, at finite
-t and at t = inf alike.  Dephased, the folded columns depend on b alone and
-are built once per distinct b (_dephased), so a surface forms one pair of
-rows per field, not per point.  At finite t the factors are folded into the
-tables of each run of points sharing (a, b), and the columns carry only the
-phase 2 t Lambda_b.  contraction_table arranges the sums into the skew
-contraction matrix Gamma over (A_0, B_0, A_1, B_1, ..., A_d, B_d), and each
-spin-spin correlator is 1/4 times the Pfaffian of the rows and columns of
-Gamma that its operator string picks out (Wick's theorem for the quadratic
-fermion problem).
+mode sums sum_p weight_p f(phi_p) over the nodes of lattice.grid_arrays
+(_contractions): the cos- and sin-weighted halves C and S of <BA> and the
+imaginary part I shared by <AA> and <BB>.  The summands are the per-mode
+states of mode_blocks, the package's one closed form for them (dynamics
+reaches them by diagonalization, as a test oracle).  The sums fill the skew
+contraction matrix Gamma (contraction_table), and each spin-spin correlator
+is 1/4 times the Pfaffian of the rows and columns of Gamma that its operator
+string picks out (Wick's theorem for the quadratic fermion problem).
 
 Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares; a
-sequence may be a list, a tuple or a numpy array.  A NaN time is invalid, and
-so is a finite one whose phase 2 t Lambda_b reaches 2^33 (see _columns).
-A batch is cut into runs of points (_runs), each evaluated from (points x
-modes) arrays of its (b, t) columns, streamed in pieces of the run for the
-contraction sums, one matrix product per piece and table; results have a
-leading points axis, and one point is the batch of one and gives its entry.
-The batches evaluated inside one factor_scope share the four caches of
-_FACTOR_CACHES (the grid, Lambda(h) per field, the dephased rows per b and
-the trig tables), and a batch's strings and magnetization share its Gamma.
+sequence may be a list, a tuple or a numpy array.  A NaN time is invalid,
+and so is a finite one whose phase is too large to resolve (_columns).
+Results have a leading points axis; one point is the batch of one and gives
+its entry.
 
 Time arguments accept math.inf, which selects the dephased long-time limit:
 sin^2(2 t Lambda) -> 1/2 and sin(4 t Lambda) -> 0 mode by mode, while modes
@@ -68,10 +53,8 @@ DEGENERACY_EPS = 1e-12
 # Correlators are real; anything above this imaginary residue means the
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
-# Points x modes in one piece of a run's (b, t) columns (_contractions): 4 times
-# at N = 20000, 40 points at N = 2000.  It bounds the piece's two columns (_columns),
-# 8 bytes per element each, formed with no other (points x modes) array, and
-# cli._evaluate's chunks, whose Gamma holds at most this many complex entries.
+# The one memory budget: points x modes in a piece of a run's (b, t) columns
+# (_contractions), and complex entries in a chunk's Gamma (cli._evaluate).
 CHUNK_ELEMENTS = 40000
 
 
@@ -104,16 +87,9 @@ class ModeBlocks(NamedTuple):
     coherence: np.ndarray  # rho12 = <vacuum| rho |pair>
 
 
-# Each per-mode factor of the closed form (mode_blocks) depends on a alone
-# (_terms) or on (b, t) alone (_columns); only the scalar b - a couples them.
-# Both sides read Lambda(h), cached per field while a factor_scope lasts, so a
-# run over many (a, b) points computes one row of hypot per distinct field,
-# not two per point.
-
-
 @lru_cache(maxsize=None)
 def _grid(n_sites: int, gamma: float) -> tuple[np.ndarray, ...]:
-    """phi_p, cos(phi_p), delta_p and weight_p: the module's one read of the grid, cached with the factors."""
+    """phi_p, cos(phi_p), delta_p and weight_p: the module's one read of the grid."""
     phi, delta, weight = grid_arrays(ChainConfig(n_sites, gamma, 0.0, 0.0, 0.0))
     return _read_only(phi, np.cos(phi), delta, weight)
 
@@ -126,7 +102,11 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=None)
 def _dispersion(n_sites: int, gamma: float, h: float) -> np.ndarray:
-    """Lambda(h) per mode, for a field before or after the quench alike."""
+    """Lambda(h) per mode, for a field before or after the quench alike.
+
+    Cached per field, so a run over many (a, b) points computes one row of
+    hypot per distinct field, not two per point.
+    """
     _, cos, delta, _ = _grid(n_sites, gamma)
     return _read_only(np.hypot(cos + h, 0.5 * delta))[0]
 
@@ -162,10 +142,11 @@ def _tables(n_sites: int, gamma: float, kt: float, a: float, d_max: int) -> tupl
     """(heads, scales, table, half_table): the mode-sum tables of one run at field a.
 
     table holds the weighted cos and sin tables (_trig_table) times _terms'
-    rows of C and S, half_table the sin table times the row of I, each as an
-    (offsets x modes) array in a fresh buffer, and heads the head terms of C
-    and S.  _contractions forms them once per run of points, before its
-    pieces, and a finite-time run folds its b into them in place.
+    rows of C and S, half_table the sin table times the row of I, and heads
+    the head terms of C and S.  A run of points forms them once, before its
+    pieces, and drops them when it ends: 24 (d_max + 1) bytes per mode.  The
+    tables are fresh buffers, since a finite-time run folds its b into them
+    in place.
     """
     cos, sin = _trig_table(n_sites, gamma, d_max)
     terms = _terms(n_sites, gamma, kt, a)
@@ -182,10 +163,9 @@ def _fold(n_sites: int, gamma: float, b: float, w: np.ndarray, xw: np.ndarray, v
     """w, xw and v times 1/Lambda_b^2, x_b/Lambda_b^2 and 2/Lambda_b per mode (their last axis), in place.
 
     These are the factors of b alone, at finite t and at t = inf alike: with
-    them the phase columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 give w,
-    x_b w and v (a finite-time run's tables in _contractions, _dephased and
-    mode_blocks).  Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b and
-    1, since their columns hold the series limits themselves.
+    them the phase columns sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2 give
+    w, x_b w and v.  Frozen modes (Lambda_b below SERIES_EPS) take 1, x_b
+    and 1, since their columns hold the series limits themselves.
     """
     lam, cos = _dispersion(n_sites, gamma, b), _grid(n_sites, gamma)[1]
     evolving = lam >= SERIES_EPS
@@ -202,8 +182,7 @@ def _dephased(n_sites: int, gamma: float, b: float) -> np.ndarray:
     Dephased, sin^2(2 t Lambda_b) -> 1/2 on evolving modes and 0 on frozen
     ones, which never dephase, and sin(4 t Lambda_b)/2 -> 0 in a scratch row,
     so w = 1/(2 Lambda_b^2) and v = 0.  A surface meets each b once per a, so
-    the rows are formed once per distinct b and copied into each dephased
-    piece by _columns.
+    the rows are cached per distinct b: 16 bytes per mode and field.
     """
     lam = _dispersion(n_sites, gamma, b)
     rows = np.empty((2, lam.size))
@@ -229,16 +208,16 @@ def _runs(configs: tuple, times: tuple):
 def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     """(gap, columns): points of one run (_runs) in the factorised form of mode_blocks.
 
-    columns is a (2 x points x modes) array.  Dephased, gap = b - a per point
-    as a column, and the two columns are w = 1/(2 Lambda_b^2) and x_b w
-    (v = 0): each point's rows of _dephased, its t = inf phase columns folded
-    by _fold once per distinct b in the scope, copied in by one stack.  At
-    finite t, gap = b - a and the columns carry only the phase,
-    sin^2(2 t Lambda_b) = u^2/(1 + u^2) and sin(4 t Lambda_b)/2 = u/(1 + u^2)
-    from one u = tan(2 t Lambda_b), in the columns' own buffers, so no other
-    (points x modes) array is made; frozen modes hold the series limits
-    (2t)^2 and 4t.  The factors of b alone that turn them into w, x_b w and v
-    (_fold) are folded once into the run's tables (_contractions).
+    columns is a (2 x points x modes) array, 8 bytes per point and mode
+    each, and no other (points x modes) array is made.  Dephased, gap = b - a
+    per point as a column, and the columns are each point's rows of
+    _dephased, copied in by one stack.  At finite t, gap = b - a and the
+    columns carry only the phase, sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
+    sin(4 t Lambda_b)/2 = u/(1 + u^2) from one u = tan(2 t Lambda_b) (float64
+    tan of 10^6 arguments in [0, 500] took 2.9 ms, sin 32 ms: numpy 2.4,
+    AVX-512 x86); frozen modes hold the series limits (2t)^2 and 4t.  A time
+    whose phase 2 t max Lambda_b reaches 2^33 is invalid: one ulp of it
+    exceeds 1e-6 rad there.
     """
     gamma, _, a, b = key
     columns = np.empty((2, len(configs), _grid(n, gamma)[1].size))
@@ -249,7 +228,7 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     lam = _dispersion(n, gamma, b)
     lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
     late = [t for t in times if 2.0 * abs(t) * lam_max >= 2.0**33]
-    if late:  # past 2^33 one ulp of the phase exceeds 1e-6 rad
+    if late:
         raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
                          "where one ulp exceeds 1e-6 rad")
     t = np.array(times)[:, None]
@@ -263,14 +242,14 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     np.divide(sq, half, out=half)
     sq *= half
     frozen = lam < SERIES_EPS
-    if frozen.any():  # frozen modes take the series limits (2t)^2 and 4t
+    if frozen.any():
         sq[:, frozen] = (2.0 * t) ** 2
         half[:, frozen] = 4.0 * t
     return b - a, columns
 
 
 _open_scopes = 0
-_held = None  # the last chunk's (configs, times, Gamma), which its three strings and its M_z share
+_held = None  # (configs, times, Gamma) of the last stack (_contractions)
 _lookups = {"hits": 0, "misses": 0}  # of _held, over every run
 
 
@@ -278,13 +257,11 @@ _lookups = {"hits": 0, "misses": 0}  # of _held, over every run
 def factor_scope():
     """Share each field's mode factors among the batches evaluated inside.
 
-    A run evaluates all its batches in one scope, so Lambda(h) is computed
-    once per distinct (N, gamma, h) of the run, for a and b alike.  Scopes
-    nest; the four caches (_FACTOR_CACHES: the grid, Lambda(h) per field, the
-    dephased rows per b and the trig tables) and the held Gamma are emptied
-    when the outermost one ends, so nothing a run caches outlives it.  Each
-    public function here runs in a scope, so a call made outside any scope
-    is a run of its own and leaves nothing cached.
+    Scopes nest; the four caches (_FACTOR_CACHES: the grid, Lambda(h) per
+    field, the dephased rows per b and the trig tables) and the held Gamma
+    are emptied when the outermost one ends, so nothing a run caches
+    outlives it.  Each public function here runs in a scope, so a call made
+    outside any scope is a run of its own and leaves nothing cached.
     """
     global _open_scopes, _held
     _open_scopes += 1
@@ -313,16 +290,11 @@ def mode_blocks(config, t) -> ModeBlocks:
         Re rho12 = (1/4) (b - a) W delta v:
 
     each a head and a row that depend on a alone (_terms), and a column w,
-    x_b w or v that depends on (b, t) alone, with
-    w = sin^2(2 t Lambda_b)/Lambda_b^2 and v = sin(4 t Lambda_b)/Lambda_b.
-    Modes with Lambda_b below SERIES_EPS take the series limits w = (2t)^2,
-    v = 4t and never dephase (w = 0).  The phase columns sin^2(2 t Lambda_b)
-    and sin(4 t Lambda_b)/2 go to 1/2 and 0 at t = inf (_dephased, once per b)
-    and come from _columns at finite t; at both, the factors of b alone
-    (_fold) turn them into w, x_b w and v.  The contraction sums read
-    the same factors as bilinear forms (_contractions).  For a batch the
-    arrays are (points x modes), formed by one _columns call per run of
-    points (_runs).
+    x_b w or v that depends on (b, t) alone, so only the scalar b - a couples
+    them, with w = sin^2(2 t Lambda_b)/Lambda_b^2 and
+    v = sin(4 t Lambda_b)/Lambda_b.  Modes with Lambda_b below SERIES_EPS
+    take the series limits w = (2t)^2, v = 4t and never dephase (w = 0).
+    For a batch the arrays are (points x modes).
     """
     configs, times, single = _points(config, t)
     n = configs[0].n_sites
@@ -330,7 +302,7 @@ def mode_blocks(config, t) -> ModeBlocks:
     for key, rows in _runs(configs, times):
         gap, (w, xw) = _columns(n, key, configs[rows], times[rows])
         v = None
-        if key[3] is not None:  # the run's factors of b alone turn the phase columns into w, x_b w and v
+        if key[3] is not None:
             xw, v = w.copy(), xw
             _fold(n, key[0], key[3], w, xw, v)
         for out, (head, scale, row), column in zip((population, im, re), _terms(n, *key[:3]), (w, xw, v)):
@@ -347,8 +319,7 @@ def magnetization_z(config, t):
     """Transverse magnetization per site, M_z(t) = (1/N) sum_l <S_l^z> = C[0]/2.
 
     That is half the weighted mode sum sum_p weight_p (rho22 - rho11); C[0]
-    weighs it by cos(0) = 1 and is Gamma's <B_0 A_0>, read from the stack
-    held for these points (_contractions) with no columns of its own.
+    weighs it by cos(0) = 1 and is Gamma's <B_0 A_0>.
     """
     configs, times, single = _points(config, t)
     mz = 0.5 * _contractions(configs, times, 0)[:, 1, 0].real
@@ -362,20 +333,19 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
     S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
     points (_runs), each sum over d = 0..d_max is a head plus a bilinear form
-    of a column and a table, taken as one (points x modes) @ (modes x
-    offsets) product per piece of the run and table.  A point's sums may move
-    by an ulp with the piece it lands in, but reruns are bitwise equal, also
-    at 1 and 2 BLAS threads (checked in CI).  Each run forms its tables
-    (_tables) once, before its pieces, and drops them when it ends.  Dephased
-    points sharing a take their per-point columns w and x_b w against the C
-    and S tables.  A finite-time run of points sharing (a, b) scales its
-    tables by scale (b - a) and folds its factors of b alone into them
-    (_fold), then takes two products per piece: sin^2(2 t Lambda_b) gives C
-    and S together, and sin(4 t Lambda_b)/2 gives I.  Each run streams its
-    columns (_columns) in pieces of CHUNK_ELEMENTS // modes points, over the
-    rule's nodes, each freed before the next is formed.  The stack is held
-    read-only (_held) until another stack replaces it, and a later call on
-    points equal to its own for offsets up to its d_max slices it.
+    of a (b, t) column (_columns) and a table (_tables).  Dephased, the
+    columns w and x_b w meet the C and S tables.  A finite-time run of points
+    sharing (a, b) scales its tables by scale (b - a) and folds its factors
+    of b into them (_fold), so sin^2(2 t Lambda_b) gives C and S together
+    and sin(4 t Lambda_b)/2 gives I.  The columns stream in pieces of
+    CHUNK_ELEMENTS // modes points (4 times at N = 20000, 40 points at
+    N = 2000), one (points x modes) @ (modes x offsets) product per piece
+    and table, each piece freed before the next is formed.  A point's sums
+    may move by an ulp with the piece it lands in, but reruns are bitwise
+    equal, also at 1 and 2 BLAS threads (checked in CI).  The stack is held
+    read-only (_held) until another replaces it, and a later call on points
+    equal to its own for offsets up to its d_max slices it, so a chunk's
+    three strings and M_z share one Gamma.
     """
     global _held
     n = configs[0].n_sites
@@ -390,7 +360,7 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     for key, run in _runs(configs, times):
         _, _, a, b = key
         heads, scales, table, half = _tables(n, *key[:3], d_max)
-        if b is not None:  # the run's factors of b alone, folded into its tables once
+        if b is not None:
             for out, scale in zip((table[0], table[1], half), scales):
                 out *= scale * (b - a)
             _fold(n, key[0], b, table[0], table[1], half)
@@ -405,8 +375,8 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
                 both = columns[0] @ table.reshape(2 * d_max + 2, -1).T  # C and S side by side
                 sums[rows, :2] = heads + both.reshape(-1, 2, d_max + 1)
                 sums[rows, 2] = columns[1] @ half.T
-            del columns  # this piece's columns go before _columns forms the next
-        del table, half  # and the run's tables before the next run forms its own
+            del columns
+        del table, half
     c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)
     offset = site[None, :] - site[:, None]
@@ -430,7 +400,7 @@ def contraction_table(config, t, d_max: int) -> np.ndarray:
 
     Gamma[i, j] = <O_i O_j> for i != j with O_{2s} = A_s and O_{2s+1} = B_s;
     the diagonal is zero.  A batch gives a (points, 2 d_max + 2, 2 d_max + 2)
-    stack.  The array is read-only and held for the chunk's later calls.
+    stack.  The array is read-only.
     """
     configs, times, single = _points(config, t)
     gamma = _contractions(configs, times, d_max)

@@ -191,11 +191,46 @@ def test_missing_config_file_exits_one(tmp_path):
         ["surface", "--grid-min", "nan"],
         ["surface", "--grid-max", "-inf"],
         ["oracle-compare", "--t-start", "nan"],
+        ["timeseries", "--kt=-inf"],
+        ["timeseries", "--n-sites", "3"],
     ],
 )
 def test_invalid_values_exit_one(argv, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["timeseries", "--n-sites", "7"], "n_sites must be even, got 7"),
+        (["timeseries", "--n-sites", "2"], "n_sites must be at least 4, got 2"),
+        (["timeseries", "--n-sites", "3"], "n_sites must be at least 4, got 3"),
+        (["timeseries", "--kt", "-1"], "kt must be non-negative, got -1.0"),
+        # -inf passes RunSpec's non-finite check, which lets kT be infinite.
+        (["timeseries", "--kt=-inf"], "kt must be non-negative, got -inf"),
+        (["oracle-compare", "--kt", "-1", "--n-list", "6"], "kt must be non-negative, got -1.0"),
+    ],
+)
+def test_ring_size_and_kt_are_checked_by_the_chain(argv, message, tmp_path, capsys):
+    # ChainConfig alone checks them, before any point is evaluated.
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_offsets_past_half_the_ring_exit_one(tmp_path, capsys):
+    # (0, 3) is the pair distance of (0, 1) on a 4-ring, but on the paper grid
+    # the long-way string is wrong there (test_ring_periodicity_of_xx_and_yy):
+    # at kT = 0.5 every row read C = 0, and oracle-compare exited 0 off by 0.26.
+    for argv in (["timeseries", "--n-sites", "4", "--offset", "3", *QUENCH],
+                 ["oracle-compare", "--offset", "3", "--n-list", "4,6"]):
+        assert main([*argv, "--out", str(tmp_path / "rows.csv")]) == 1
+        assert capsys.readouterr().err == "error: --offset must be at most half the ring size 4, got 3\n"
+    assert not (tmp_path / "rows.csv").exists()
+    assert _run(tmp_path, "timeseries", "--n-sites", "6", "--offset", "3", "--t-steps", "3")[0] == 0
+    assert _run(tmp_path, "oracle-compare", "--offset", "3", "--n-list", "6")[0] == 0
 
 
 def test_non_finite_values_name_their_flag_and_kt_may_be_infinite(tmp_path, capsys):

@@ -338,6 +338,20 @@ def test_quench_series_rejects_a_pair_on_one_site():
         _assert_matches_full_route(n, 1.0, 0.5, 1.5, 0.5, [1.0], n - 1)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_pair_at_d_and_at_n_minus_d_is_one_pair(n):
+    # (0, n - d) is the pair (0, d) with its sites swapped: translation by d
+    # maps it onto (d, 0).  The swap exchanges rho22 and rho33 and conjugates
+    # rho23, so compare C, not rho_pair.
+    times = [0.0, 0.7, 3.3]
+    for gamma, kt, a, b in ((1.0, 0.0, 1.5, 0.5), (0.6, 0.5, 0.6, 1.4), (1.0, 0.5, 1.001, 0.5)):
+        for d in range(1, n // 2 + 1):
+            near, far = (ed.quench_series(n, gamma, kt, a, b, times, d=e) for e in (d, n - d))
+            for (*obs, rho), (*obs_far, rho_far) in zip(near, far):
+                assert np.allclose(obs, obs_far, rtol=0.0, atol=1e-12)
+                assert abs(concurrence_general(rho) - concurrence_general(rho_far)) <= 1e-12
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_quench_series_rejects_non_finite_times(t):
     # ED has no dephased limit (the mode pipeline's t = inf); such a time
