@@ -4,9 +4,8 @@ The transverse field is a step function h(t) = a for t <= 0 and h(t) = b for
 t > 0.  Fermionization decouples the ring into independent momentum modes, so
 the evolved per-mode states (correlations.mode_blocks), two-point string
 correlators and the pairwise concurrence all come out in closed form.  Two
-oracles stay outside this namespace: xyquench.dynamics reaches each mode's
-state by diagonalizing or integrating its 4x4 Hamiltonian, and xyquench.ed
-diagonalizes small rings in (parity, momentum) blocks to check the pipeline.
+oracles stay outside this namespace: xyquench.dynamics for each mode's state
+and xyquench.ed for small rings.
 """
 
 from .lattice import ChainConfig, dispersion

@@ -5,16 +5,8 @@
     xy-quench equilibrium     static observables swept over a = b = h
     xy-quench oracle-compare  pipeline vs exact diagonalization on small rings
 
-Each takes only the flags it reads (FLAGS).  All take --gamma --kt --offset
---format --out --workers --config; timeseries adds --n-sites --field-a
---field-b --t-start --t-end --t-steps --time-average, surface and equilibrium
-add --n-sites --grid-min --grid-max --grid-steps, and oracle-compare adds
---field-a --field-b --t-start --t-end --t-steps --n-list.  A flat
-``key = value`` config file (--config) may set the subcommand's own flags;
-explicit flags win over the file, the file wins over defaults, and the
-effective configuration is echoed into the output metadata.  Runs are one
-process; --workers is accepted and has no effect.  Exit codes: 0 success,
-1 invalid input, 2 numerical failure, 3 oracle schedule violation.
+Each takes only the flags it reads (FLAGS), which --help lists; the README's
+"Command line" section describes them, the config file and the exit codes.
 """
 
 from __future__ import annotations
@@ -125,11 +117,12 @@ def _evaluate(configs: list, d: int, times: list) -> list:
     """pair_observables at every point (configs of one ring size), in point order.
 
     Gamma, the three strings and M_z run once per chunk of
-    CHUNK_ELEMENTS // (2d + 2)^2 points (2,500 at d = 1, 625 at d = 3), so a
-    chunk's Gamma holds at most CHUNK_ELEMENTS complex entries.  The call is
-    one factor_scope.  The two-site state and its concurrence are taken over
-    the chunk's arrays (x_concurrences), which stop at the first non-physical
-    point; its index locates it.  EoF runs per point.
+    CHUNK_ELEMENTS // (2d + 2)^2 points (2,500 at d = 1; 625 at d = 3, six
+    chunks for a 61 x 61 surface), so a chunk's Gamma holds at most
+    CHUNK_ELEMENTS complex entries.  The call is one factor_scope.  The
+    two-site state and its concurrence are taken over the chunk's arrays
+    (x_concurrences), which stop at the first non-physical point; its index
+    locates it.  EoF runs per point.
     """
     size = max(1, CHUNK_ELEMENTS // (2 * d + 2) ** 2)
     rows = []

@@ -3,21 +3,16 @@
     H = -(1+gamma)/2 sum sx_i sx_{i+1} - (1-gamma)/2 sum sy_i sy_{i+1}
         - h sum sz_i              (periodic, coupling 1)
 
-is real in the z basis and commutes with the parity prod_i sz_i and with the
-one-site translation T, so it never leaves a block of one parity and one
-momentum k = 2 pi m / n, spanned by the orbit sums of T (Sandvik, AIP Conf.
-Proc. 1297, 135 (2010)); the blocks have about 2^(n-1) / n states.
-``quench_series`` builds H and the pair's X-state entries from the orbit
-representatives on the blocks of k in [0, pi] only, since those of -k are
-their complex conjugates, traces each block of the Gibbs state down to the
-pair once, in H(b)'s eigenbasis, for all times, and skips a block with no
-Gibbs weight.  No fermion mapping enters.
+is solved on the spin ring itself: no fermion mapping enters.  quench_series
+says how.
+
 The mode pipeline agrees with this oracle only to O(1/N), so comparisons
-tighten as N grows rather than hit machine precision.
-The causes: the paired-mode grid, which is neither parity sector of the ring
-(on the even-sector grid the two agree to rounding at kT = 0 where the ground
-state is even); at kT > 0 the Gibbs state, which mixes both sectors; and for C
-at finite t after a quench, the Im rho14 that the X-state assembly drops.
+tighten as N grows rather than hit machine precision.  The causes: the
+paired-mode grid of lattice.grid_arrays, which is neither parity sector of
+the ring (on the even-sector grid the two agree to rounding at kT = 0 where
+the ground state is even: test_ring_rule_equals_ed_at_zero_temperature); at
+kT > 0 the Gibbs state, which mixes both sectors; and for C at finite t after
+a quench, the Im rho14 that the pair layer drops (entanglement).
 """
 
 from __future__ import annotations
@@ -198,28 +193,33 @@ def pair_correlators(state: np.ndarray, i: int, j: int):
 def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d: int = 1):
     """Oracle observables (M_z, S^x, S^y, S^z, rho_pair) for each requested time.
 
-    H commutes with the parity and with T, and so does rho(t), so the X-state
-    entry rho_ij = Tr[rho(t) |j><i|] of the pair (0, d) is also the trace
-    against O = (1/n) sum_l |j><i|_{l, l+d}, which ``_block_operator`` builds
-    on each (parity, momentum) block from the representatives alone.  In a
-    block, rho0 = F F^dagger with F = V_a sqrt(w) over the block's c nonzero
-    Gibbs weights, R = V_b^dagger F and S = R R^dagger; with
-    p = exp(-i E_b t), rho_ij(t) = p^T X p* with X = S o (V_b^dagger O V_b)^T.
-    H, O and T are real, so the block of -k (m -> n - m) has the
-    representatives of the block of k, conjugate entries, the same spectrum
-    and X*: only the blocks with 2m <= n are built and diagonalized (12 of
-    20 at n = 10), and one with a mirror adds X + X* = 2 Re X.  Each entry
-    costs one (T x K) @ (K x K) product per solved block, K about
-    2^(n-1) / n.  No 2^n-sized array is formed: the memory peak is the H(a)
+    H is real in the z basis and commutes with the parity prod_i sz_i and with
+    the one-site translation T, so it never leaves a block of one parity and
+    one momentum k = 2 pi m / n, spanned by the orbit sums of T (_blocks;
+    Sandvik, AIP Conf. Proc. 1297, 135 (2010)), of about K = 2^(n-1) / n
+    states.  So does rho(t), so the X-state entry rho_ij = Tr[rho(t) |j><i|]
+    of the pair (0, d) is also the trace against
+    O = (1/n) sum_l |j><i|_{l, l+d}, which _block_operator builds on each
+    block from the representatives alone.  In a block, rho0 = F F^dagger with
+    F = V_a sqrt(w) over the block's c nonzero Gibbs weights, R = V_b^dagger F
+    and S = R R^dagger; with p = exp(-i E_b t), rho_ij(t) = p^T X p* with
+    X = S o (V_b^dagger O V_b)^T: each block is traced down to the pair once,
+    in H(b)'s eigenbasis, for all times.  H, O and T are real, so the block of
+    -k (m -> n - m) has the representatives of the block of k, conjugate
+    entries, the same spectrum and X*: only the blocks with 2m <= n are built
+    and diagonalized (12 of 20 at n = 10), and one with a mirror adds
+    X + X* = 2 Re X.  Each entry costs one (T x K) @ (K x K) product per
+    solved block.  No 2^n-sized array is formed: the memory peak is the H(a)
     eigenvectors of the solved blocks, 16 sum K^2 bytes (0.48 MiB at
     n = 10), plus a few arrays of one block.  Times must be finite: unlike
     the mode pipeline, ED has no dephased t = inf.
 
     The Gibbs weights come from the spectra of all 2n blocks together, each
-    solved spectrum counted once per block it stands for.  A block with no
-    Gibbs weight (at kT = 0, a block without ground states) is skipped with
-    its mirror, H(b) included.  rho_pair sums the blocks, and M_z (<S^z> of
-    site 0) and the correlators are read off its entries.
+    solved spectrum counted once per block it stands for: one ground energy,
+    one kT = 0 rule and one Z.  A block with no Gibbs weight (at kT = 0, a
+    block without ground states) is skipped with its mirror, H(b) included.
+    rho_pair sums the blocks, and M_z (<S^z> of site 0) and the correlators
+    are read off its entries.
     """
     _check_sites(n)
     if d % n == 0:
@@ -230,7 +230,6 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     # The blocks with 2m <= n, each with the number of blocks it stands for: itself and its mirror n - m.
     blocks = [(m, reps, 1 if 2 * m % n == 0 else 2) for _, m, reps in _blocks(n) if 2 * m <= n]
     before = [np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, a)])[0]) for m, reps, _ in blocks]
-    # One ground energy, one kT = 0 rule and one Z for all 2n blocks together.
     spectra = [np.tile(evals, mult) for (evals, _), (_, _, mult) in zip(before, blocks)]
     weights = np.split(_gibbs_weights(np.concatenate(spectra), kt), np.cumsum([len(e) for e in spectra])[:-1])
     # The X state's diagonal and upper corners, the entries whose pair states have equal parity.
@@ -240,12 +239,11 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     rho = np.zeros((len(times), 4, 4), dtype=complex)
     for (m, reps, mult), (_, vecs_a), w in zip(blocks, before, weights):
         w = w[:len(reps)]  # the mirror block's weights are the same
-        if not w.any():  # adds nothing to rho, nor does its mirror; its H(b) eigensolve is skipped
+        if not w.any():
             continue
         evals, vecs = np.linalg.eigh(_block_operator(n, m, reps, 1, [_bond(gamma, b)])[0])
         r = vecs.conj().T @ (vecs_a[:, w > 0] * np.sqrt(w[w > 0]))  # R = V_b^dagger F
         s = r @ r.conj().T
-        # X[e] = S o (V_b^dagger O_e V_b)^T for the six entries e; the mirror block adds X*.
         x = s * (vecs.conj().T @ _block_operator(n, m, reps, d, entries) @ vecs).transpose(0, 2, 1)
         if mult == 2:
             x = 2.0 * x.real
@@ -254,7 +252,6 @@ def quench_series(n: int, gamma: float, kt: float, a: float, b: float, times, d:
     # rho is Hermitian: a real diagonal, and lower corners conjugate to the upper ones.
     rho.imag[:, rows[:4], rows[:4]] = 0.0
     rho[:, cols[4:], rows[4:]] = rho[:, rows[4:], cols[4:]].conj()
-    # M_z and the correlators, read off the X state's entries for all times at once:
     # S^x = Re(rho14 + rho23)/2, S^y = Re(rho23 - rho14)/2, S^z = (rho11 - rho22 - rho33 + rho44)/4.
     diagonal, corner, middle = rho.real.diagonal(axis1=1, axis2=2), rho.real[:, 0, 3], rho.real[:, 1, 2]
     observables = np.column_stack([diagonal @ [.5, .5, -.5, -.5], (corner + middle) / 2, (middle - corner) / 2,

@@ -30,8 +30,10 @@ from .errors import InvalidStateError
 
 # Diagonal entries in [-CLAMP_TOL, 0) are rounding debris and get clamped to
 # zero (counted in clamp_warnings); anything more negative is a real
-# positivity violation and raises.
+# positivity violation and raises, and so does a trace more than this off 1.
 CLAMP_TOL = 1e-10
+# An off-diagonal entry may pass its X-state bound, |rho14| <= sqrt(rho11 rho44)
+# or |rho23| <= rho22, by this much before it raises.
 X_POSITIVITY_TOL = 1e-8
 # A concurrence may exceed 1 by this much, rounding; the positivity gates'
 # slack lets a state past it through, and the C gate rejects it.
@@ -90,7 +92,10 @@ def _settle(checks: list) -> None:
 
 
 def _x_states(mz, sx, sy, sz) -> tuple:
-    """(TwoSiteState's six entries, their checks) at each point; both sites share mz, so rho33 is rho22."""
+    """(TwoSiteState's six entries, their checks) at each point; both sites share mz, so rho33 is rho22.
+
+    The checks come in the order a point meets them: finite inputs, each diagonal entry's clamp and
+    sign, the trace, then the bounds on |rho14| and |rho23|; x_concurrences adds the C gate last."""
     mz, sx, sy, sz = inputs = np.array([mz, sx, sy, sz], dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         diagonal = np.array([mz + sz + 0.25, -sz + 0.25, -mz + sz + 0.25])

@@ -3,17 +3,9 @@
 N spins sit on a periodic chain with anisotropic nearest-neighbor exchange
 (coupling fixed to 1) in a transverse field that steps from ``field_before``
 to ``field_after`` at t = 0.  Fermionizing the chain decouples it into N/2
-four-dimensional momentum subspaces labelled p = 1..N/2 with angle
-phi_p = 2*pi*p/N.  Each mode carries
-
-    delta_p     =  2*gamma*sin(phi_p)
-    Lambda_p(h) =  sqrt((cos(phi_p) + h)**2 + gamma**2 * sin(phi_p)**2)
-
-and everything downstream (the per-mode states of correlations.mode_blocks
-and the contractions summed over them) is built from these two quantities
-and cos(phi_p) + h.  Every mode sum is the weighted sum sum_p weight_p f(phi_p),
-with weight_p = 2/N.  grid_arrays is the one place phi_p, delta_p and the
-weights are formed; dispersion is the scalar formula, a reference for the tests.
+four-dimensional momentum subspaces, one per node of grid_arrays, the one
+place the nodes and their weights are formed.  dispersion is the scalar
+quasiparticle energy, a reference for the tests.
 """
 
 from __future__ import annotations
@@ -59,9 +51,9 @@ class ChainConfig:
 
 
 def grid_arrays(config: ChainConfig):
-    """phi_p = 2*pi*p/N, delta_p and weight_p = 2/N for p = 1..N/2 as arrays.
+    """phi_p = 2*pi*p/N, delta_p = 2*gamma*sin(phi_p) and weight_p = 2/N for p = 1..N/2 as arrays.
 
-    sum_p weight_p f(phi_p) is the mode sum; the weights sum to 1.  The last
+    sum_p weight_p f(phi_p) is every mode sum; the weights sum to 1.  The last
     entry is pinned to phi = pi, delta = 0 exactly; floating-point sin(pi)
     would otherwise leave a ~1e-16 residue that breaks exact degeneracy
     detection at the zone boundary.

@@ -66,8 +66,9 @@ COARSE = np.linspace(0.0, 3.0, 31)
 
 
 # Field a = b of the kT = 0, d = 1 concurrence peak for gamma = 1, from the
-# thermodynamic-limit quadrature below (h* = 1.25630, C* = 0.258191).  It
-# holds for the Hamiltonian of the README and ed.py,
+# thermodynamic-limit quadrature below (h* = 1.25630, C* = 0.258191).  On
+# the diagonal a = b nothing is quenched, so the dephased state there is this
+# ground state.  It holds for the Hamiltonian of the README and ed.py,
 #     H = -sum[(1+gamma)/2 sx sx + (1-gamma)/2 sy sy] - h sum sz.
 # An older target of 1.37 has no known source: PAPER.md holds only the
 # abstract, and neither sigma vs S = sigma/2 nor J vs J/2 maps 1.256 onto it

@@ -352,6 +352,24 @@ def test_pair_at_d_and_at_n_minus_d_is_one_pair(n):
                 assert abs(concurrence_general(rho) - concurrence_general(rho_far)) <= 1e-12
 
 
+def test_quench_series_reverses_time_by_conjugation():
+    # H is real, so rho(-t) = rho(t)*: M_z and the same-axis correlators are
+    # even in t, and Im rho14, which carries <S^x S^y> + <S^y S^x>, is odd.
+    # Im rho14 reaches 0.15 here, so this pins the sign that a cross
+    # correlator of the pipeline must reproduce.
+    times = np.array([0.7, 3.3, 25.0])
+    largest = 0.0
+    for n in (6, 8, 10):
+        for gamma, kt, a, b in ((1.0, 0.0, 1.5, 0.5), (0.6, 0.5, 0.6, 1.4), (1.0, 0.5, 1.001, 0.5)):
+            for d in (1, 2, 3):
+                rows = ed.quench_series(n, gamma, kt, a, b, np.concatenate([times, -times]), d=d)
+                for (*obs, rho), (*obs_back, rho_back) in zip(rows[:len(times)], rows[len(times):]):
+                    assert np.max(np.abs(rho_back - rho.conj())) <= 1e-12
+                    assert np.allclose(obs_back, obs, rtol=0.0, atol=1e-12)
+                    largest = max(largest, abs(rho[0, 3].imag))
+    assert largest > 0.1
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_quench_series_rejects_non_finite_times(t):
     # ED has no dephased limit (the mode pipeline's t = inf); such a time
@@ -412,22 +430,28 @@ def _pipeline_gaps(n, gamma, kt, a, b, times):
     return gap_mz, gap_corr
 
 
-@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_ring_rule_equals_ed_at_zero_temperature(mode_rule, n):
     # On the even parity sector's nodes (2p - 1) pi/N, p = 1..N/2, with weight
     # 2/N, the mode sums are those of the finite ring wherever its ground state
-    # is even, as it is at each of these fields.
+    # is even, as it is at each of these fields, at every offset up to half
+    # the ring.  At n = 4 the ground state of (gamma, a) = (0.6, 0.6) is odd,
+    # 0.073 below the even sector's lowest level, so that set is left out
+    # there.
     mode_rule(lambda n_sites: ((2.0 * np.arange(1, n_sites // 2 + 1) - 1.0) * np.pi / n_sites,
                                np.full(n_sites // 2, 2.0 / n_sites)))
-    times = (0.0, 0.7, 3.3, 25.0)
+    times = [0.0, 0.7, 3.3, 25.0]
     for gamma, a, b in ((1.0, 1.5, 0.5), (0.6, 0.6, 1.4), (1.0, 0.5, 1.5), (1.0, 1.001, 0.5)):
+        if (n, gamma, a) == (4, 0.6, 0.6):
+            continue
         even, odd = _sector_lowest(n, gamma, a)
         assert even < odd - ed.GROUND_TOL
         config = ChainConfig(n, gamma, 0.0, a, b)
-        for t, (*want, _) in zip(times, ed.quench_series(n, gamma, 0.0, a, b, times)):
-            got = (magnetization_z(config, t), correlator_xx(config, 1, t), correlator_yy(config, 1, t),
-                   correlator_zz(config, 1, t))
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        for d in range(1, n // 2 + 1):
+            want = [row[:4] for row in ed.quench_series(n, gamma, 0.0, a, b, times, d=d)]
+            got = np.column_stack([magnetization_z(config, times), correlator_xx(config, d, times),
+                                   correlator_yy(config, d, times), correlator_zz(config, d, times)])
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_pipeline_oracle_gap_shrinks_with_n():
