@@ -16,7 +16,7 @@ Every function here takes one point (config, t) or a batch of points: a
 sequence of configs sharing one ring size and a sequence of times, of equal
 length, or one of the two as a single value that every point shares; a
 sequence may be a list, a tuple or a numpy array.  A NaN time is invalid,
-and so is a finite one whose phase is too large to resolve (_columns).
+and so is a finite one whose phase is too large to resolve (_phase_bound).
 Results have a leading points axis; one point is the batch of one and gives
 its entry.
 
@@ -53,9 +53,13 @@ DEGENERACY_EPS = 1e-12
 # Correlators are real; anything above this imaginary residue means the
 # contraction matrix is inconsistent and the result cannot be trusted.
 IMAG_TOL = 1e-10
-# The one memory budget: points x modes in a piece of a run's (b, t) columns
-# (_contractions), and complex entries in a chunk's Gamma (cli._evaluate).
+# The one memory budget: points x modes in a piece of a dephased run's
+# columns and floats in a finite-time run's mode block (_contractions), and
+# complex entries in a chunk's Gamma (cli._evaluate).
 CHUNK_ELEMENTS = 40000
+# A finite-time run's times form an even grid when each lies this many ulps
+# of max |t| or fewer from it (_split).
+EVEN_ULPS = 4
 
 
 def _points(config, t):
@@ -205,6 +209,33 @@ def _runs(configs: tuple, times: tuple):
         start = stop
 
 
+def _phase_bound(times, lam: np.ndarray) -> None:
+    """Reject the first time whose phase 2 t max Lambda_b reaches 2^33: one ulp of it exceeds 1e-6 rad there."""
+    lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
+    late = [t for t in times if 2.0 * abs(t) * lam_max >= 2.0**33]
+    if late:
+        raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
+                         "where one ulp exceeds 1e-6 rad")
+
+
+def _trig(phase: np.ndarray) -> None:
+    """sin^2 x, sin x cos x and, given a third row, cos^2 x in place of the phases x in phase[0].
+
+    All three come from one u = tan x, as u^2/(1 + u^2), u/(1 + u^2) and
+    1/(1 + u^2) (float64 tan of 10^6 arguments in [0, 500] took 2.9 ms, sin
+    32 ms: numpy 2.4, AVX-512 x86).  Not 1 - 1/(1 + u^2) for sin^2: it
+    cancels at small u, and 1/Lambda^2 would magnify that.
+    """
+    u, sc = phase[0], phase[1]  # sc holds 1 + u^2 until its own value overwrites it
+    np.tan(u, out=u)
+    np.multiply(u, u, out=sc)
+    sc += 1.0
+    if len(phase) > 2:
+        np.divide(1.0, sc, out=phase[2])
+    np.divide(u, sc, out=sc)
+    u *= sc
+
+
 def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     """(gap, columns): points of one run (_runs) in the factorised form of mode_blocks.
 
@@ -212,12 +243,8 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
     each, and no other (points x modes) array is made.  Dephased, gap = b - a
     per point as a column, and the columns are each point's rows of
     _dephased, copied in by one stack.  At finite t, gap = b - a and the
-    columns carry only the phase, sin^2(2 t Lambda_b) = u^2/(1 + u^2) and
-    sin(4 t Lambda_b)/2 = u/(1 + u^2) from one u = tan(2 t Lambda_b) (float64
-    tan of 10^6 arguments in [0, 500] took 2.9 ms, sin 32 ms: numpy 2.4,
-    AVX-512 x86); frozen modes hold the series limits (2t)^2 and 4t.  A time
-    whose phase 2 t max Lambda_b reaches 2^33 is invalid: one ulp of it
-    exceeds 1e-6 rad there.
+    columns carry only the phase, sin^2(2 t Lambda_b) and sin(4 t Lambda_b)/2
+    (_trig); frozen modes hold the series limits (2t)^2 and 4t.
     """
     gamma, _, a, b = key
     columns = np.empty((2, len(configs), _grid(n, gamma)[1].size))
@@ -226,26 +253,92 @@ def _columns(n: int, key: tuple, configs: tuple, times: tuple) -> tuple:
         return np.array([c.field_after - a for c in configs])[:, None], columns
     sq, half = columns
     lam = _dispersion(n, gamma, b)
-    lam_max = float(lam.max())  # in Python floats an overflowing phase is inf, with no warning
-    late = [t for t in times if 2.0 * abs(t) * lam_max >= 2.0**33]
-    if late:
-        raise ValueError(f"time {late[0]} is too large: its phase 2 t max Lambda_b is past 2^33, "
-                         "where one ulp exceeds 1e-6 rad")
+    _phase_bound(times, lam)
     t = np.array(times)[:, None]
-    # u in sq and 1 + u^2 in half; then half = u/(1 + u^2) and sq = u half.
-    # Not 1 - 1/(1 + u^2): it cancels at small u, and 1/Lambda^2 would
-    # magnify that.
     np.multiply(2.0 * t, lam, out=sq)
-    np.tan(sq, out=sq)
-    np.multiply(sq, sq, out=half)
-    half += 1.0
-    np.divide(sq, half, out=half)
-    sq *= half
+    _trig(columns)
     frozen = lam < SERIES_EPS
     if frozen.any():
         sq[:, frozen] = (2.0 * t) ** 2
         half[:, frozen] = 4.0 * t
     return b - a, columns
+
+
+def _split(times: tuple) -> tuple:
+    """(anchors, offsets) with times[j K + k] = anchors[j] + offsets[k], for a finite-time run.
+
+    P times that each lie within EVEN_ULPS ulps of max |t| of the even grid
+    t_0 + p Delta, Delta = (t_{P-1} - t_0)/(P - 1), split into K = floor(sqrt P)
+    offsets k Delta and J = ceil(P/K) anchors, the times t_{j K}; the J K - P
+    sums past the last time stand for no point.  Any other run has anchors =
+    its times and offsets = (0,).
+    """
+    t = np.array(times)
+    k = math.isqrt(t.size)
+    if k > 1:
+        step = (t[-1] - t[0]) / (t.size - 1)
+        if np.abs(t - (t[0] + step * np.arange(t.size))).max() <= EVEN_ULPS * np.spacing(np.abs(t).max()):
+            return t[::k], step * np.arange(k)
+    return t, np.zeros(1)
+
+
+def _phase_sums(n: int, gamma: float, b: float, times: tuple, table: np.ndarray, r2: int) -> np.ndarray:
+    """(points x R) sums over the modes of table's R rows times a finite-time run's phase columns.
+
+    The first r2 rows meet sin^2(2 t Lambda_b), the others sin(4 t Lambda_b)/2.
+    The times split as t = A_j + o_k (_split), so the phase is x + y with
+    x = 2 A_j Lambda_b and y = 2 o_k Lambda_b, and by angle addition
+
+        sin^2(x + y) = c_x^2 s_y^2 + s_x c_x (2 s_y c_y) + s_x^2 c_y^2,
+        sin(x + y) cos(x + y) = -s_x c_x s_y^2 + (c_x^2 - s_x^2)/2 (2 s_y c_y) + s_x c_x c_y^2:
+
+    one tan row per anchor and per offset (_trig), J + K of them on an even
+    grid and P + 1 otherwise, where the per-point form takes one per point.  The
+    modes stream in blocks of w = CHUNK_ELEMENTS // (3 (J + 2K + J R)) modes
+    (at least 1): a block's trig rows, left factors (J x R x 3w) and right
+    factors (K x 3w) take at most CHUNK_ELEMENTS floats, and each block is
+    freed before the next.  Each block is one stacked (J x R x 3w) @ (3w x K)
+    product, one small matrix product per anchor, which keeps rows equal at 1
+    and 2 BLAS threads (checked in CI).  Frozen modes (Lambda_b below
+    SERIES_EPS) leave the blocks, their columns zeroed in table (the run's
+    own buffer), and add their series limits (2t)^2 and 4t as rank-one terms.
+    """
+    lam = _dispersion(n, gamma, b)
+    _phase_bound(times, lam)
+    anchors, offsets = _split(times)
+    j, k, rows = anchors.size, offsets.size, table.shape[0]
+    frozen = lam < SERIES_EPS
+    limits = table[:, frozen].sum(axis=1)
+    table[:, frozen] = 0.0
+    sums = np.zeros((j, rows, k))
+    width = max(1, CHUNK_ELEMENTS // (3 * (j + 2 * k + j * rows)))
+    phases = 2.0 * np.concatenate((anchors, offsets))
+    for start in range(0, lam.size, width):
+        cols = slice(start, start + width)
+        w = lam[cols].size
+        trig = np.empty((3, j + k, w))
+        np.multiply.outer(phases, lam[cols], out=trig[0])
+        _trig(trig)
+        x, y = trig[:, :j], trig[:, j:]
+        left = np.empty((j, rows, 3, w))
+        # sin^2 rows take (c_x^2, s_x c_x, s_x^2), sin cos rows (-s_x c_x, (c_x^2 - s_x^2)/2, s_x c_x).
+        np.multiply(x[::-1].transpose(1, 0, 2)[:, None], table[:r2, None, cols], out=left[:, :r2])
+        np.subtract(x[2], x[0], out=x[0])
+        x[0] *= 0.5
+        np.multiply(x[1][:, None], table[r2:, cols], out=left[:, r2:, 2])
+        np.negative(left[:, r2:, 2], out=left[:, r2:, 0])
+        np.multiply(x[0][:, None], table[r2:, cols], out=left[:, r2:, 1])
+        right = np.empty((k, 3, w))  # (s_y^2, 2 s_y c_y, c_y^2) per offset
+        np.multiply(y.transpose(1, 0, 2), [[1.0], [2.0], [1.0]], out=right)
+        del trig, x, y
+        sums += left.reshape(j, rows, 3 * w) @ right.reshape(k, 3 * w).T
+        del left, right
+    sums = sums.transpose(0, 2, 1).reshape(j * k, rows)[: len(times)]
+    if frozen.any():
+        t = np.array(times)[:, None]
+        sums[:, :r2] += (2.0 * t) ** 2 * limits[:r2]
+        sums[:, r2:] += 4.0 * t * limits[r2:]
+    return sums
 
 
 _open_scopes = 0
@@ -333,19 +426,22 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     are odd in d, C is even.  Per mode, C weighs rho22 - rho11 by weight cos(d phi),
     S weighs 2 Im rho12 and I weighs -2 Re rho12 by weight sin(d phi).  Per run of
     points (_runs), each sum over d = 0..d_max is a head plus a bilinear form
-    of a (b, t) column (_columns) and a table (_tables).  Dephased, the
-    columns w and x_b w meet the C and S tables.  A finite-time run of points
-    sharing (a, b) scales its tables by scale (b - a) and folds its factors
-    of b into them (_fold), so sin^2(2 t Lambda_b) gives C and S together
-    and sin(4 t Lambda_b)/2 gives I.  The columns stream in pieces of
-    CHUNK_ELEMENTS // modes points (4 times at N = 20000, 40 points at
-    N = 2000), one (points x modes) @ (modes x offsets) product per piece
-    and table, each piece freed before the next is formed.  A point's sums
-    may move by an ulp with the piece it lands in, but reruns are bitwise
-    equal, also at 1 and 2 BLAS threads (checked in CI).  The stack is held
-    read-only (_held) until another replaces it, and a later call on points
-    equal to its own for offsets up to its d_max slices it, so a chunk's
-    three strings and M_z share one Gamma.
+    of a (b, t) column and a table (_tables).  Dephased, the columns w and
+    x_b w (_columns) meet the C and S tables; they stream in pieces of
+    CHUNK_ELEMENTS // modes points (40 points at N = 2000), one
+    (points x modes) @ (modes x offsets) product per piece and table, each
+    piece freed before the next is formed.  A finite-time run of points
+    sharing (a, b) scales its tables by scale (b - a), folds its factors of b
+    into them (_fold) and packs their rows into one buffer, leaving out S[0]
+    and I[0], which weigh by sin 0 = 0 and stay 0.  Its phase columns,
+    sin^2(2 t Lambda_b) for C and S and sin(4 t Lambda_b)/2 for I, never
+    exist as (points x modes) arrays: _phase_sums forms the sums from the
+    phases of the run's anchors and offsets, in mode blocks.  A point's sums
+    may move by an ulp with the piece or block it lands in, but reruns are
+    bitwise equal, also at 1 and 2 BLAS threads (checked in CI).  The stack
+    is held read-only (_held) until another replaces it, and a later call on
+    points equal to its own for offsets up to its d_max slices it, so a
+    chunk's three strings and M_z share one Gamma.
     """
     global _held
     n = configs[0].n_sites
@@ -360,22 +456,23 @@ def _contractions(configs: tuple, times: tuple, d_max: int) -> np.ndarray:
     for key, run in _runs(configs, times):
         _, _, a, b = key
         heads, scales, table, half = _tables(n, *key[:3], d_max)
-        if b is not None:
-            for out, scale in zip((table[0], table[1], half), scales):
-                out *= scale * (b - a)
-            _fold(n, key[0], b, table[0], table[1], half)
-        for start in range(run.start, run.stop, size):
-            rows = slice(start, min(start + size, run.stop))
-            gap, columns = _columns(n, key, configs[rows], times[rows])
-            if b is None:
+        if b is None:
+            for start in range(run.start, run.stop, size):
+                rows = slice(start, min(start + size, run.stop))
+                gap, columns = _columns(n, key, configs[rows], times[rows])
                 for i in range(2):
                     sums[rows, i] = heads[i]
                     sums[rows, i] += scales[i] * gap * (columns[i] @ table[i].T)
-            else:
-                both = columns[0] @ table.reshape(2 * d_max + 2, -1).T  # C and S side by side
-                sums[rows, :2] = heads + both.reshape(-1, 2, d_max + 1)
-                sums[rows, 2] = columns[1] @ half.T
-            del columns
+                del columns
+        else:
+            table *= np.multiply(scales[:2], b - a)[:, None, None]
+            half *= scales[2] * (b - a)
+            _fold(n, key[0], b, table[0], table[1], half)
+            table, half = np.concatenate((table[0], table[1, 1:], half[1:])), None
+            both = _phase_sums(n, key[0], b, times[run], table, 2 * d_max + 1)
+            sums[run, 0] = heads[0] + both[:, : d_max + 1]
+            sums[run, 1, 1:] = heads[1, 1:] + both[:, d_max + 1 : 2 * d_max + 1]
+            sums[run, 2, 1:] = both[:, 2 * d_max + 1 :]
         del table, half
     c, s, im = sums[:, 0], 2.0 * sums[:, 1], -2.0 * sums[:, 2]
     site = np.arange(d_max + 1)

@@ -802,20 +802,29 @@ def test_runs_evaluate_per_chunk_not_per_point(monkeypatch, tmp_path, run, chunk
     assert calls == {"pfaffian": 3 * chunks, "contraction_table": 3 * chunks}
 
 
-def test_one_column_pass_per_point_per_run(monkeypatch, tmp_path):
-    # A chunk's three strings and its M_z share one streamed pass: _columns
-    # sees each point of the run once at N (9 times, inf and the time average's
-    # samples) and each doubled-N sample once at 2N.
-    points = Counter()
+def test_one_tan_row_per_anchor_and_offset_per_run(monkeypatch, tmp_path):
+    # A chunk's three strings and its M_z share one pass over each finite-time
+    # run, and that pass takes one tan row (over the modes) per anchor and per
+    # offset, J + K: 3 + 3 for the 9 times at N, 15 + 14 for the time
+    # average's 200 samples, none for the inf row, and 3 + 2 for the 5
+    # doubled-N samples at 2N; each run is one block of all its modes.  The 9
+    # times nudged off their even grid take one anchor each and the zero
+    # offset, P + 1.
+    blocks = []
 
-    def counted(n, key, configs, times, _fn=correlations._columns):
-        points[n] += len(configs)
-        return _fn(n, key, configs, times)
+    def counted(phase, _fn=correlations._trig):
+        blocks.append(phase.shape[1:])
+        return _fn(phase)
 
-    monkeypatch.setattr(correlations, "_columns", counted)
+    monkeypatch.setattr(correlations, "_trig", counted)
     argv = ["timeseries", "--n-sites", "32", "--t-steps", "9", "--time-average", "1", *QUENCH]
     assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 0
-    assert points == {32: 9 + 1 + cli.AVERAGE_SAMPLES, 64: cli.CONVERGENCE_SAMPLES}
+    assert blocks == [(3 + 3, 16), (15 + 14, 16), (3 + 2, 32)]
+    blocks.clear()
+    times = [float(t) for t in np.linspace(0.0, 20.0, 9)]
+    times[4] += 1e-9
+    _evaluate([ChainConfig(32, 1.0, 0.5, 1.001, 0.5)] * 9, 1, times)
+    assert blocks == [(9 + 1, 16)]
 
 
 @pytest.mark.parametrize("blocks", [1, None], ids=["blocks-of-1", "default-blocks"])

@@ -153,15 +153,16 @@ def test_contractions_are_sums_over_mode_states(mode_rule):
             assert np.array_equal(batch.coherence[i], blocks.coherence)
             assert np.max(np.abs(blocks.population - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
             assert np.max(np.abs(blocks.coherence - rho[:, 0, 1])) < 1e-13
-            gamma = contraction_table(c, t, 3)
-            for d in range(-3, 4):
-                l, m = max(0, -d), max(0, d)
-                cos_d, sin_d = np.cos(d * phi), np.sin(d * phi)
-                ba = np.sum(2.0 * (rho[:, 1, 1] - rho[:, 0, 0]).real * cos_d
-                            + 4.0 * rho[:, 0, 1].imag * sin_d) / c.n_sites
-                aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / c.n_sites
-                assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
-                assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
+            _assert_sums_over_mode_states(contraction_table(c, t, 3), rho, phi, c.n_sites)
+    # An even grid of 10 times, whose sums come from 4 anchors and 3 offsets.
+    grid = np.linspace(0.3, 6.6, 10)
+    assert correlations._split(tuple(grid))[1].size == 3
+    for c in configs[-5:]:
+        phi, delta, _ = grid_arrays(c)
+        for t, gamma in zip(grid, contraction_table(c, grid, 3)):
+            rho = np.array([spectral_mode_state(*m, c.field_before, c.field_after, c.kt, t)
+                            for m in zip(phi, delta)])
+            _assert_sums_over_mode_states(gamma, rho, phi, c.n_sites)
     # Any rule of nodes and weights goes through the same closed form: here 5
     # Gauss-Legendre nodes on (0, pi), whatever N says.
     x, w = np.polynomial.legendre.leggauss(5)
@@ -179,6 +180,17 @@ def test_contractions_are_sums_over_mode_states(mode_rule):
             gamma = contraction_table(c, t, 3)
             assert np.max(np.abs(gamma - _gamma_from_mode_sums(c, t, 3, (phi, weight)))) <= 1e-13
             assert abs(magnetization_z(c, t) - 0.5 * np.sum(weight * blocks.population)) <= 1e-13
+
+
+def _assert_sums_over_mode_states(gamma, rho, phi, n_sites):
+    """Gamma's <B_l A_{l+d}> and Im <A_l A_{l+d}>, d = -3..3, are the mode sums of the states rho."""
+    for d in range(-3, 4):
+        l, m = max(0, -d), max(0, d)
+        cos_d, sin_d = np.cos(d * phi), np.sin(d * phi)
+        ba = np.sum(2.0 * (rho[:, 1, 1] - rho[:, 0, 0]).real * cos_d + 4.0 * rho[:, 0, 1].imag * sin_d) / n_sites
+        aa = -4.0 * np.sum(rho[:, 0, 1].real * sin_d) / n_sites
+        assert abs(gamma[2 * l + 1, 2 * m] - ba) < 1e-13
+        assert abs(gamma[2 * l, 2 * m].imag - aa) < 1e-13
 
 
 def test_finite_time_columns_near_the_poles_of_tan():
@@ -210,6 +222,62 @@ def test_finite_time_columns_near_the_poles_of_tan():
                                             config.kt, t) for m in zip(phi, delta)])
         assert np.max(np.abs(blocks.population[i] - (rho[:, 1, 1] - rho[:, 0, 0]).real)) < 1e-13
         assert np.max(np.abs(blocks.coherence[i] - rho[:, 0, 1])) < 1e-13
+
+
+def test_even_time_grids_match_the_per_point_route(mode_rule):
+    # A finite-time run on an even grid of P times sums its phases from
+    # J = ceil(P/K) anchors and K = floor(sqrt P) offsets (_split); Gamma stays
+    # within 1e-13 of mode-by-mode sums of each point's own mode_blocks.  P = 10
+    # and 801 are no multiple of K = 3 and 28; P <= 3 has K = 1.  b = 1 freezes
+    # the phi = pi mode, and a = 1 at kT = 0 makes it degenerate.
+    configs = (ChainConfig(16, 0.7, 0.4, 1.7, 0.3), ChainConfig(16, 1.0, 0.3, 0.4, 1.0),
+               ChainConfig(16, 0.7, 0.0, 1.0, 0.4))
+    for p in (1, 2, 3, 10, 801):
+        times = np.linspace(0.35, 0.35 + 0.01 * (p - 1), p)
+        assert correlations._split(tuple(times))[1].size == math.isqrt(p)
+        for c in configs:
+            d_max = 1 if p == 801 else 3
+            stack = contraction_table(c, times, d_max)
+            for t, gamma in zip(times, stack):
+                assert np.max(np.abs(gamma - _gamma_from_mode_sums(c, t, d_max))) <= 1e-13
+    # Anchor and offset phases 2 t L of mode 1 within an ulp of pi/2 and pi
+    # (the poles of tan and its zeros), with the step and the start nudged by
+    # an ulp both ways; b = 1 freezes the phi = pi mode.
+    config = ChainConfig(8, 2.0, 0.3, 0.4, 1.0)
+    phi, delta, _ = grid_arrays(config)
+    step = math.pi / (4.0 * np.hypot(np.cos(phi[1]) + config.field_after, 0.5 * delta[1]))
+    for dt, t0 in product(*[(x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))) for x in (step, 2 * step)]):
+        times = t0 + dt * np.arange(10)
+        anchors, offsets = correlations._split(tuple(times))
+        assert (anchors.size, offsets.size) == (4, 3)
+        for t, gamma in zip(times, contraction_table(config, times, 3)):
+            assert np.max(np.abs(gamma - _gamma_from_mode_sums(config, t, 3))) <= 1e-13
+    # On the paper grid a frozen mode has delta = 0 and adds nothing.  The
+    # Gauss-Legendre node phi = pi/2 at gamma = 1e-9 and b = 0 is frozen
+    # (Lambda_b = 1e-9) with delta = 2e-9: at t near 1000 its series limits
+    # (2t)^2 and 4t move Gamma by about 1e-11 and 1e-6, while every mode's
+    # phase error is suppressed by delta.
+    x, w = np.polynomial.legendre.leggauss(5)
+    nodes = (np.pi * (x + 1.0) / 2.0, w / 2.0)
+    mode_rule(lambda n_sites: nodes)
+    config = ChainConfig(16, 1e-9, 0.5, 0.6, 0.0)
+    times = np.linspace(0.4, 1000.4, 10)
+    for t, gamma in zip(times, contraction_table(config, times, 3)):
+        assert np.max(np.abs(gamma - _gamma_from_mode_sums(config, t, 3, nodes))) <= 1e-13
+
+
+def test_a_time_off_the_even_grid_takes_one_offset():
+    # Nudged past EVEN_ULPS ulps of max |t|, one time puts the run on the K = 1
+    # route (anchors = the times, offsets = (0,)); its Gamma agrees with the
+    # even grid's to 1e-13.
+    config = ChainConfig(16, 0.7, 0.4, 1.7, 0.3)
+    times = np.linspace(0.35, 8.35, 801)
+    nudged = times.copy()
+    nudged[400] += (correlations.EVEN_ULPS + 2) * np.spacing(8.35)
+    assert correlations._split(tuple(times))[1].size == 28
+    assert correlations._split(tuple(nudged))[1].size == 1
+    even, off = contraction_table(config, times, 3), contraction_table(config, nudged, 3)
+    assert np.max(np.abs(even - off)) <= 1e-13
 
 
 def test_every_correlations_cache_is_a_factor_cache():
@@ -252,26 +320,55 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
     assert peaks[2] - peaks[1] <= stacks
 
 
+def test_a_finite_time_run_allocates_one_mode_block_beyond_its_sums():
+    # The benchmark's time grid, 801 times at N = 20000 and d = 1: the run's
+    # R = 4 packed table rows meet the phase columns of its 29 anchors and 28
+    # offsets.  Beyond its tables (made before the call) and its (points x
+    # rows) sums (the (J x R x K) sums, one block's product of that size and
+    # their (points x rows) copy), the run may allocate one mode block,
+    # CHUNK_ELEMENTS floats, while numpy's iterator holds its buffers of at
+    # most 3 x 8192 floats (np.getbufsize) for one elementwise call, and rows
+    # over the modes: the frozen mask.  A second live block, or a (points x
+    # modes) phase column, would cross the bound.
+    config = ChainConfig(20000, 1.0, 0.5, 1.001, 0.5)
+    modes, times = config.n_sites // 2, tuple(np.linspace(0.0, 40.0, 801).tolist())
+    table = np.random.default_rng(3).standard_normal((4, modes))
+    with factor_scope():
+        correlations._dispersion(config.n_sites, config.gamma, config.field_after)
+        tracemalloc.start()
+        try:
+            sums = correlations._phase_sums(config.n_sites, config.gamma, config.field_after, times, table, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sums.shape == (801, 4)
+    block, buffers = 8 * correlations.CHUNK_ELEMENTS, 3 * 8 * np.getbufsize()
+    assert peak <= 3 * 29 * 4 * 28 * 8 + block + buffers + modes
+
+
 def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
-    # A 5-node rule at N = 16 with a budget of 10 points x modes streams its
-    # columns in pieces of 10 // 5 = 2 points, not 10 // (N/2) = 1.  Streaming
-    # restarts where a run starts: finite-time runs of 5 and 4 points take
-    # pieces [2, 2, 1] and [2, 2], which sum to the unstreamed stack.
+    # A 5-node rule at N = 16 streams its 5 modes in blocks, not the N/2 = 8
+    # of the paper grid.  A finite-time run's block takes 3 (J + 2K + J R)
+    # floats per mode, with R = 10 rows at d_max = 3: 171 for the 5 uneven
+    # times (J, K) = (5, 1), 78 for the even 4 times (2, 2).  A budget of 350
+    # floats gives blocks of 2 and 4 modes, so the runs stream as [2, 2, 1]
+    # and [4, 1]; each block takes one tan row per anchor and per offset.
+    # Unstreamed, each run is one block, and the streamed sums equal it.
     x, w = np.polynomial.legendre.leggauss(5)
     mode_rule(lambda n_sites: (np.pi * (x + 1.0) / 2.0, w / 2.0))
     configs = [ChainConfig(16, 0.7, 0.3, 0.6, 1.4)] * 5 + [ChainConfig(16, 0.7, 0.3, 1.001, 0.5)] * 4
-    times = [0.0, 0.4, 1.3, 2.0, 7.5, 0.0, 0.9, 1.3, 3.1]
-    pieces = []
+    times = [0.0, 0.4, 1.3, 2.0, 7.5, 0.0, 0.9, 1.8, 2.7]
+    blocks = []
 
-    def counted(n, key, configs, times, _fn=correlations._columns):
-        pieces.append(len(configs))
-        return _fn(n, key, configs, times)
+    def counted(phase, _fn=correlations._trig):
+        blocks.append(phase.shape[1:])
+        return _fn(phase)
 
-    monkeypatch.setattr(correlations, "_columns", counted)
+    monkeypatch.setattr(correlations, "_trig", counted)
     whole = contraction_table(configs, times, 3)
-    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 10)
+    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 350)
     streamed = contraction_table(configs, times, 3)
-    assert pieces == [5, 4, 2, 2, 1, 2, 2]
+    assert blocks == [(6, 5), (4, 5), (6, 2), (6, 2), (6, 1), (4, 4), (4, 1)]
     assert np.max(np.abs(streamed - whole)) <= 1e-13
 
 
