@@ -219,11 +219,11 @@ def _phase_bound(times, lam: np.ndarray) -> None:
 
 
 def _trig(phase: np.ndarray) -> None:
-    """sin^2 x, sin x cos x and, given a third row, cos^2 x in place of the phases x in phase[0].
+    """sin^2 x, sin x cos x and, given a third row, (cos 2x)/2 in place of the phases x in phase[0].
 
     All three come from one u = tan x, as u^2/(1 + u^2), u/(1 + u^2) and
-    1/(1 + u^2) (float64 tan of 10^6 arguments in [0, 500] took 2.9 ms, sin
-    32 ms: numpy 2.4, AVX-512 x86).  Not 1 - 1/(1 + u^2) for sin^2: it
+    1/(1 + u^2) - 1/2 (float64 tan of 10^6 arguments in [0, 500] took 2.9 ms,
+    sin 32 ms: numpy 2.4, AVX-512 x86).  Not 1 - 1/(1 + u^2) for sin^2: it
     cancels at small u, and 1/Lambda^2 would magnify that.
     """
     u, sc = phase[0], phase[1]  # sc holds 1 + u^2 until its own value overwrites it
@@ -232,6 +232,7 @@ def _trig(phase: np.ndarray) -> None:
     sc += 1.0
     if len(phase) > 2:
         np.divide(1.0, sc, out=phase[2])
+        phase[2] -= 0.5
     np.divide(u, sc, out=sc)
     u *= sc
 
@@ -289,17 +290,19 @@ def _phase_sums(n: int, gamma: float, b: float, times: tuple, table: np.ndarray,
     The times split as t = A_j + o_k (_split), so the phase is x + y with
     x = 2 A_j Lambda_b and y = 2 o_k Lambda_b, and by angle addition
 
-        sin^2(x + y) = c_x^2 s_y^2 + s_x c_x (2 s_y c_y) + s_x^2 c_y^2,
-        sin(x + y) cos(x + y) = -s_x c_x s_y^2 + (c_x^2 - s_x^2)/2 (2 s_y c_y) + s_x c_x c_y^2:
+        sin^2(x + y) = s_y^2 + s_x^2 cos 2y + s_x c_x sin 2y,
+        sin(x + y) cos(x + y) = s_x c_x cos 2y + (cos 2x)/2 sin 2y:
 
     one tan row per anchor and per offset (_trig), J + K of them on an even
-    grid and P + 1 otherwise, where the per-point form takes one per point.  The
-    modes stream in blocks of w = CHUNK_ELEMENTS // (3 (J + 2K + J R)) modes
-    (at least 1): a block's trig rows, left factors (J x R x 3w) and right
-    factors (K x 3w) take at most CHUNK_ELEMENTS floats, and each block is
-    freed before the next.  Each block is one stacked (J x R x 3w) @ (3w x K)
+    grid and P + 1 otherwise, where the per-point form takes one per point.
+    No term is 1 - cos, so small phases keep their relative accuracy.  The
+    modes stream in blocks of w = CHUNK_ELEMENTS // (3J + 5K + 2JR) modes (at
+    least 1): a block's trig rows, left factors (J x R x 2w) and right
+    factors (K x 2w) take at most CHUNK_ELEMENTS floats, and each block is
+    freed before the next.  Each block is one stacked (J x R x 2w) @ (2w x K)
     product, one small matrix product per anchor, which keeps rows equal at 1
-    and 2 BLAS threads (checked in CI).  Frozen modes (Lambda_b below
+    and 2 BLAS threads (checked in CI), and one (r2 x w) @ (w x K) product
+    for s_y^2, which every anchor shares.  Frozen modes (Lambda_b below
     SERIES_EPS) leave the blocks, their columns zeroed in table (the run's
     own buffer), and add their series limits (2t)^2 and 4t as rank-one terms.
     """
@@ -310,8 +313,8 @@ def _phase_sums(n: int, gamma: float, b: float, times: tuple, table: np.ndarray,
     frozen = lam < SERIES_EPS
     limits = table[:, frozen].sum(axis=1)
     table[:, frozen] = 0.0
-    sums = np.zeros((j, rows, k))
-    width = max(1, CHUNK_ELEMENTS // (3 * (j + 2 * k + j * rows)))
+    sums, base = np.zeros((j, rows, k)), np.zeros((r2, k))
+    width = max(1, CHUNK_ELEMENTS // (3 * j + 5 * k + 2 * j * rows))
     phases = 2.0 * np.concatenate((anchors, offsets))
     for start in range(0, lam.size, width):
         cols = slice(start, start + width)
@@ -319,20 +322,18 @@ def _phase_sums(n: int, gamma: float, b: float, times: tuple, table: np.ndarray,
         trig = np.empty((3, j + k, w))
         np.multiply.outer(phases, lam[cols], out=trig[0])
         _trig(trig)
-        x, y = trig[:, :j], trig[:, j:]
-        left = np.empty((j, rows, 3, w))
-        # sin^2 rows take (c_x^2, s_x c_x, s_x^2), sin cos rows (-s_x c_x, (c_x^2 - s_x^2)/2, s_x c_x).
-        np.multiply(x[::-1].transpose(1, 0, 2)[:, None], table[:r2, None, cols], out=left[:, :r2])
-        np.subtract(x[2], x[0], out=x[0])
-        x[0] *= 0.5
-        np.multiply(x[1][:, None], table[r2:, cols], out=left[:, r2:, 2])
-        np.negative(left[:, r2:, 2], out=left[:, r2:, 0])
-        np.multiply(x[0][:, None], table[r2:, cols], out=left[:, r2:, 1])
-        right = np.empty((k, 3, w))  # (s_y^2, 2 s_y c_y, c_y^2) per offset
-        np.multiply(y.transpose(1, 0, 2), [[1.0], [2.0], [1.0]], out=right)
+        # (s^2, s c, (c^2 - s^2)/2) per anchor x and per offset y
+        x, y = trig[:, :j].transpose(1, 0, 2), trig[:, j:].transpose(1, 0, 2)
+        left = np.empty((j, rows, 2, w))
+        np.multiply(x[:, None, :2], table[:r2, None, cols], out=left[:, :r2])
+        np.multiply(x[:, None, 1:], table[r2:, None, cols], out=left[:, r2:])
+        right = np.empty((k, 2, w))
+        np.multiply(y[:, :0:-1], 2.0, out=right)  # (cos 2y, sin 2y)
+        base += table[:r2, cols] @ y[:, 0].T
         del trig, x, y
-        sums += left.reshape(j, rows, 3 * w) @ right.reshape(k, 3 * w).T
+        sums += left.reshape(j, rows, 2 * w) @ right.reshape(k, 2 * w).T
         del left, right
+    sums[:, :r2] += base
     sums = sums.transpose(0, 2, 1).reshape(j * k, rows)[: len(times)]
     if frozen.any():
         t = np.array(times)[:, None]

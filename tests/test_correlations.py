@@ -348,9 +348,9 @@ def test_a_finite_time_run_allocates_one_mode_block_beyond_its_sums():
 
 def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
     # A 5-node rule at N = 16 streams its 5 modes in blocks, not the N/2 = 8
-    # of the paper grid.  A finite-time run's block takes 3 (J + 2K + J R)
-    # floats per mode, with R = 10 rows at d_max = 3: 171 for the 5 uneven
-    # times (J, K) = (5, 1), 78 for the even 4 times (2, 2).  A budget of 350
+    # of the paper grid.  A finite-time run's block takes 3J + 5K + 2JR
+    # floats per mode, with R = 10 rows at d_max = 3: 120 for the 5 uneven
+    # times (J, K) = (5, 1), 56 for the even 4 times (2, 2).  A budget of 250
     # floats gives blocks of 2 and 4 modes, so the runs stream as [2, 2, 1]
     # and [4, 1]; each block takes one tan row per anchor and per offset.
     # Unstreamed, each run is one block, and the streamed sums equal it.
@@ -366,7 +366,7 @@ def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
 
     monkeypatch.setattr(correlations, "_trig", counted)
     whole = contraction_table(configs, times, 3)
-    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 350)
+    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 250)
     streamed = contraction_table(configs, times, 3)
     assert blocks == [(6, 5), (4, 5), (6, 2), (6, 2), (6, 1), (4, 4), (4, 1)]
     assert np.max(np.abs(streamed - whole)) <= 1e-13
