@@ -210,8 +210,7 @@ def test_finite_time_columns_near_the_poles_of_tan():
     assert np.abs(u[:3]).min() > 1e15 and u[:3].min() < 0.0 < u[:3].max()
     assert np.abs(u[3:]).max() < 1e-15 and u[3:].min() < 0.0 < u[3:].max()
     with factor_scope():
-        key = (config.gamma, config.kt, config.field_before, config.field_after)
-        _, (sq, half) = correlations._columns(config.n_sites, key, (config,) * len(times), tuple(times))
+        sq, half = correlations._columns(config.n_sites, config.gamma, config.field_after, tuple(times))
         blocks = mode_blocks(config, times)
     for i, t in enumerate(times):
         arg = 2.0 * t * lam[:-1]
@@ -306,8 +305,8 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
     peaks = []
     with factor_scope():
         contraction_table(config, np.arange(1.0, 41.0), 1)  # the a and b factors and the trig tables
-        key = (config.gamma, config.kt, config.field_before, config.field_after)
-        for call in (lambda: correlations._columns(config.n_sites, key, (config,) * 4, (5.0, 6.0, 7.0, 8.0)),
+        for call in (lambda: correlations._columns(config.n_sites, config.gamma, config.field_after,
+                                                   (5.0, 6.0, 7.0, 8.0)),
                      lambda: contraction_table(config, np.arange(41.0, 45.0), 1),
                      lambda: contraction_table(config, np.arange(45.0, 85.0), 1)):
             tracemalloc.start()
@@ -318,6 +317,73 @@ def test_a_finite_time_chunk_allocates_only_its_columns():
                 tracemalloc.stop()
     assert peaks[0] <= block
     assert peaks[2] - peaks[1] <= stacks
+
+
+def test_a_dephased_chunk_allocates_one_a_tile_and_one_b_tile():
+    # The second 625-point chunk of a 61 x 61 surface at N = 2000 and d = 3:
+    # the rest of one row, 9 full rows and part of another.  Its sums take
+    # one a-tile's C and S tables (10 a's x 4 offsets x 1000 modes each) and
+    # one b-tile's two dephased rows (40 b's x 1000 modes each) at a time, at
+    # most CHUNK_ELEMENTS floats apiece, beside the chunk's (points x 3 x 4)
+    # sums and one tile's (2 x a's x b's x 4) products; Gamma's stack is
+    # assembled after the tiles are freed, and numpy's iterator may hold its
+    # buffers of at most 3 x 8192 floats (np.getbufsize).  A second live
+    # tile, or a (points x modes) array (5 MB), would cross the bound.
+    grid = np.linspace(0.0, 3.0, 61)
+    configs = [ChainConfig(2000, 1.0, 0.5, float(a), float(b)) for a in grid for b in grid]
+    with factor_scope():
+        contraction_table(configs[:625], math.inf, 3)  # the a and b factors and the trig tables
+        tracemalloc.start()
+        try:
+            contraction_table(configs[625:1250], math.inf, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    tiles, buffers = 4 * 8 * correlations.CHUNK_ELEMENTS, 3 * 8 * np.getbufsize()
+    assert peak <= tiles + 625 * 3 * 4 * 8 + 2 * 10 * 40 * 4 * 8 + buffers
+
+
+def _count_products(monkeypatch):
+    """Record each b-tile's stacked b's and the (a, b) pairs each product of _contractions multiplies."""
+    work = {"stacked": [], "pairs": 0, "a_tile": 0}
+
+    def tables(n_sites, gamma, kt, a, d_max, _fn=correlations._tables):
+        work["a_tile"] = a.size
+        return _fn(n_sites, gamma, kt, a, d_max)
+
+    def columns(n_sites, gamma, b, times=None, _fn=correlations._columns):
+        if times is None:
+            work["stacked"].append(len(b))
+            work["pairs"] += work["a_tile"] * len(b)
+        return _fn(n_sites, gamma, b, times)
+
+    monkeypatch.setattr(correlations, "_tables", tables)
+    monkeypatch.setattr(correlations, "_columns", columns)
+    return work
+
+
+def test_a_surface_stacks_each_b_once_per_block_and_b_tile(monkeypatch):
+    # The benchmark's surface: 61 x 61 points at N = 2000 and d = 3, row-major,
+    # in chunks of 625 points (cli._evaluate).  A chunk's full rows share
+    # their 61 b's and form one block of at most 10 rows, one a-tile of 10
+    # a's; its partial rows are blocks of one row.  The chunks cut rows after
+    # 15, 30, 45, 60 and 14 b's, so they stack 61 + 15, 46 + 61 + 30,
+    # 31 + 61 + 45, 16 + 61 + 60, 1 + 61 + 14 and 47 + 61 b rows, in b-tiles
+    # of at most 40: 671 in all, where one stack per point would take 3,721.
+    # The products multiply each (a, b) pair once, and so do those of a
+    # scattered batch, one point per block.
+    grid = np.linspace(0.0, 3.0, 61)
+    configs = [ChainConfig(2000, 1.0, 0.0, float(a), float(b)) for a in grid for b in grid]
+    work = _count_products(monkeypatch)
+    _evaluate(configs, 3, [math.inf] * len(configs))
+    assert sum(work["stacked"]) == 76 + 137 + 137 + 137 + 76 + 108
+    assert max(work["stacked"]) == correlations.CHUNK_ELEMENTS // 1000
+    assert work["pairs"] == len(configs)
+    rng = np.random.default_rng(23)
+    scattered = [ChainConfig(64, 0.7, 0.4, *map(float, rng.uniform(0.0, 3.0, 2))) for _ in range(50)]
+    work.update(stacked=[], pairs=0)
+    contraction_table(scattered, math.inf, 3)
+    assert work["stacked"] == [1] * 50 and work["pairs"] == 50
 
 
 def test_a_finite_time_run_allocates_one_mode_block_beyond_its_sums():
@@ -373,27 +439,35 @@ def test_blocks_are_sized_by_the_rules_nodes(mode_rule, monkeypatch):
 
 
 def test_pieces_move_gamma_by_an_ulp_at_most(monkeypatch):
-    # Each piece of a run takes one matrix product per table, so a point's sums
-    # may move by an ulp with the piece it lands in.  Budgets of 1 (one point
-    # per piece), 100 (6 points at 16 modes) and 10**9 (whole runs) cut
-    # dephased runs of 9 points sharing a and finite-time runs of 9 times;
-    # b = 1 freezes the phi = pi mode and a = 1 at kT = 0 makes it degenerate.
-    # Two calls at one budget are bitwise equal.
-    fields = (0.3, 1.0, 1.7)
+    # A dephased block takes one matrix product per a and per b-tile, and a
+    # finite-time run one per anchor and mode block, so a point's sums may
+    # move by an ulp with the tile or block it lands in.  At 16 modes and
+    # d = 3, budgets of 1 (tiles of one a and one b), 100 (b-tiles of 6, a-tiles
+    # of 1), 130 (b-tiles of 8, a-tiles of 2) and 10**9 (whole blocks) cut
+    # dephased runs of 9 b's that share a, each between finite-time runs of 9
+    # times, and blocks of 3 such runs in a row; b = 1 freezes the phi = pi
+    # mode and a = 1 at kT = 0 makes it degenerate.  Every stack is within
+    # 1e-13 of mode-by-mode sums, and two calls at one budget are bitwise equal.
+    fields, b_row = (0.3, 1.0, 1.7), np.linspace(0.2, 1.8, 9)
     configs, times = [], []
     for kt, a in product((0.0, 0.4), fields):
-        configs += [ChainConfig(32, 0.7, kt, a, b) for b in np.linspace(0.2, 1.8, 9)]
+        configs += [ChainConfig(32, 0.7, kt, a, b) for b in b_row]
         times += [math.inf] * 9
         for b in fields:
             configs += [ChainConfig(32, 0.7, kt, a, b)] * 9
             times += [0.0, 0.4, 1.3, 2.0, 2.9, 5.5, 7.5, 11.3, 19.7]
-    assert 1.0 in np.linspace(0.2, 1.8, 9)
+    for kt in (0.0, 0.4):
+        configs += [ChainConfig(32, 0.7, kt, a, float(b)) for a in fields for b in b_row]
+        times += [math.inf] * 27
+    assert 1.0 in b_row
     stacks = {}
-    for budget in (1, 100, 10**9):
+    for budget in (1, 100, 130, 10**9):
         monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", budget)
         stacks[budget] = contraction_table(configs, times, 3)
         assert np.array_equal(contraction_table(configs, times, 3), stacks[budget])
     assert max(np.max(np.abs(stack - stacks[1])) for stack in stacks.values()) <= 1e-13
+    expected = np.array([_gamma_from_mode_sums(c, t, 3) for c, t in zip(configs, times)])
+    assert max(np.max(np.abs(stack - expected)) for stack in stacks.values()) <= 1e-13
 
 
 def _gamma_from_mode_sums(config, t, d_max, nodes=None):
@@ -419,43 +493,65 @@ def _gamma_from_mode_sums(config, t, d_max, nodes=None):
     return gamma.reshape(2 * d_max + 2, 2 * d_max + 2)
 
 
-def test_surface_batches_equal_point_by_point_mode_sums():
-    # A field grid, row-major (consecutive points share a with different b)
-    # and column-major (they share b with different a).  a = 1 at kT = 0 puts
-    # the phi = pi mode at Lambda_a = 0 (degenerate weight) and b = 1 puts it
-    # at Lambda_b = 0 (frozen); one batch holds t = 0, a finite t and inf.
+def test_surface_batches_equal_point_by_point_mode_sums(monkeypatch):
+    # One batch of mixed gamma and kT: per (gamma, kT), a field grid row-major
+    # (consecutive points share a with different b) and column-major (they
+    # share b with different a) at t = 0, a finite t and inf; dephased rows
+    # whose b's differ from their neighbours', or repeat a value, or are
+    # shared by two rows in a row; scattered (a, b) points; and a time
+    # series' layout, a finite-time run, its inf point and another run.
+    # a = 1 at kT = 0 puts the phi = pi mode at Lambda_a = 0 (degenerate
+    # weight) and b = 1 puts it at Lambda_b = 0 (frozen).  At 8 modes and
+    # d = 3, budgets of 8 (tiles of one a and one b), 40 (b-tiles of 5) and
+    # 64 (a-tiles of 2, b-tiles of 8) cut the blocks, as does the default.
+    # Every point is within 1e-13 of mode-by-mode sums, and reruns are
+    # bitwise equal.
     fields = (0.3, 1.0, 1.7)
-    times = (0.0, 2.9, math.inf)
+    rng = np.random.default_rng(29)
+    points = []
     for gamma, kt in ((1.0, 0.0), (0.7, 0.0), (0.7, 0.4)):
         rows = [ChainConfig(16, gamma, kt, a, b) for a in fields for b in fields]
         columns = [ChainConfig(16, gamma, kt, a, b) for b in fields for a in fields]
-        points = [(c, t) for grid in (rows, columns) for t in times for c in grid]
-        configs, batch_times = tuple(c for c, _ in points), tuple(t for _, t in points)
-        with factor_scope():
-            batch = contraction_table(configs, batch_times, 3)
-        for config, t, gamma_batch in zip(configs, batch_times, batch):
-            assert np.max(np.abs(gamma_batch - _gamma_from_mode_sums(config, t, 3))) <= 1e-13
+        points += [(c, t) for grid in (rows, columns) for t in (0.0, 2.9, math.inf) for c in grid]
+        ragged = ((0.3, fields), (1.0, fields[::-1]), (1.7, (1.0, 0.3, 1.0)), (0.3, fields[:2]),
+                  (1.7, fields[:2]), (1.0, fields))
+        points += [(ChainConfig(16, gamma, kt, a, b), math.inf) for a, b_row in ragged for b in b_row]
+        points += [(ChainConfig(16, gamma, kt, *map(float, rng.uniform(0.0, 3.0, 2))), math.inf)
+                   for _ in range(6)]
+        series = ChainConfig(16, gamma, kt, 1.0, 0.4)
+        points += [(series, t) for t in (0.0, 0.5, 1.0, 1.5, math.inf, 2.0, 2.5)]
+    configs, times = tuple(c for c, _ in points), tuple(t for _, t in points)
+    expected = np.array([_gamma_from_mode_sums(c, t, 3) for c, t in points])
+    for budget in (8, 40, 64, correlations.CHUNK_ELEMENTS):
+        monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", budget)
+        batch = contraction_table(configs, times, 3)
+        assert np.array_equal(contraction_table(configs, times, 3), batch)
+        assert np.max(np.abs(batch - expected)) <= 1e-13
 
 
 def test_dephased_surface_rows_equal_one_point_runs(monkeypatch):
     # The benchmark's surface (kT = 0, d = 3) reads C = 0 at every point, so
-    # its rows check no value of the dephased columns.  Here a 13 x 13 grid
-    # at N = 2000 and kT = 0.5 has C > 0 (at d = 1, for small a and large
-    # b); b = 1 freezes the phi = pi mode, chunks of 20 points cut across the
-    # runs of 13 points that share a, and pieces of 5 points cut each run.
-    # Its rows equal one-point runs (within 1e-13; an ulp may move with the
-    # piece), and Gamma equals mode-by-mode sums.
+    # its rows check no value of the dephased sums.  Here a 13 x 14 grid at
+    # N = 2000 and kT = 0.5 has C > 0 (at d = 1, for small a and large b);
+    # each row's b's end with a second b = 1, which freezes the phi = pi
+    # mode.  Chunks of 45 points cut the rows of 14 mid-way, so each holds
+    # a block of 2 or 3 full rows between partial rows, blocks of one row
+    # each.  Budgets of 1000, 5000 and 10**9 floats give b-tiles of 1, 5 and
+    # all 14 b's and a-tiles of one a, of 5 // (d + 1) (2 at d = 1) and of
+    # every row of a block.  The rows equal one-point runs (within 1e-13;
+    # an ulp may move with the tile), and Gamma equals mode-by-mode sums.
     grid = np.linspace(0.0, 3.0, 13)
-    configs = [ChainConfig(2000, 1.0, 0.5, float(a), float(b)) for a in grid for b in grid]
     assert 1.0 in grid
+    configs = [ChainConfig(2000, 1.0, 0.5, float(a), float(b)) for a in grid for b in np.append(grid, 1.0)]
     times = [math.inf] * len(configs)
-    monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", 5 * 1000)
     entangled = 0
     for d in (1, 2, 3):
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", (2 * d + 2) ** 2 * 20)
-        rows = np.array(_evaluate(configs, d, times))
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", (2 * d + 2) ** 2 * 45)
         single = np.array([pair_observables(config, d, math.inf) for config in configs])
-        assert np.max(np.abs(rows - single)) <= 1e-13
+        for budget in (1000, 5000, 10**9):
+            monkeypatch.setattr(correlations, "CHUNK_ELEMENTS", budget)
+            rows = np.array(_evaluate(configs, d, times))
+            assert np.max(np.abs(rows - single)) <= 1e-13
         entangled += np.count_nonzero(rows[:, 4] > 0.0)
     assert entangled > 10
     with factor_scope():

@@ -69,6 +69,30 @@ def test_cli_import_leaves_the_oracles_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_requests_import_nothing_lazily():
+    # Whatever a request needs is imported with xyquench.cli, before it
+    # starts: a module that a numpy call imports on first use (np.unique
+    # without return_inverse loads numpy.ma, 13 ms in a fresh process)
+    # would land in the timed request.  locale comes from argparse, whose
+    # gettext looks up the message language when the parser is built.
+    requests = [["timeseries", "--n-sites", "32", "--t-steps", "5"],
+                ["surface", "--n-sites", "32", "--grid-steps", "3", "--kt", "0.5", "--grid-min", "0.5",
+                 "--grid-max", "1.5"],
+                ["equilibrium", "--n-sites", "32", "--grid-steps", "3", "--grid-min", "0.5", "--grid-max", "1.5"],
+                ["oracle-compare", "--n-list", "6,8", "--t-steps", "3", "--t-end", "2"]]
+    code = ("import os, sys, tempfile, xyquench.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            f"    codes = [cli.main([*argv, '--out', os.path.join(tmp, 'o.csv')]) for argv in {requests!r}]\n"
+            "print((codes, sorted(set(sys.modules) - before)))\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120, check=True)
+    codes, added = ast.literal_eval(out.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert set(added) <= {"locale", "_locale"}
+
+
 def test_no_unused_imports():
     assert _unused_imports("import os.path\nfrom a import b as c, d\nprint(d)\n") == ["c", "os"]
     # The package __init__ imports names only to re-export them.
